@@ -25,7 +25,7 @@ race: vet
 # Godoc audit: every exported identifier in the service-facing packages
 # must carry a doc comment (see cmd/lintdocs). Fails listing each gap.
 lint-docs:
-	$(GO) run ./cmd/lintdocs ./internal/server ./internal/core \
+	$(GO) run ./cmd/lintdocs ./internal/server ./internal/core ./internal/psort \
 		./internal/batch ./internal/stats ./internal/overload \
 		./internal/resilience ./internal/router ./internal/promtext \
 		./internal/jobs ./internal/extsort ./internal/wire \

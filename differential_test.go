@@ -1,14 +1,18 @@
 package mergepath_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"mergepath"
 	"mergepath/internal/baseline"
+	"mergepath/internal/batch"
 	"mergepath/internal/bitonic"
 	"mergepath/internal/core"
+	"mergepath/internal/psort"
 	"mergepath/internal/spm"
 	"mergepath/internal/verify"
 	"mergepath/internal/workload"
@@ -38,6 +42,17 @@ func TestDifferentialMergers(t *testing.T) {
 		{"baseline.DeoSarkar", baseline.DeoSarkarMerge[int32]},
 		{"baseline.ShiloachVishkin", baseline.ShiloachVishkinMerge[int32]},
 		{"bitonic.MergeParallel", bitonic.MergeParallel[int32]},
+		{"batch.Merge", func(a, b, out []int32, p int) {
+			// Split the merge at three co-rank points into four
+			// independent pairs, so one round spans pair boundaries.
+			cuts := core.Partition(a, b, 4)
+			pairs := make([]batch.Pair[int32], 4)
+			for i := range pairs {
+				lo, hi := cuts[i], cuts[i+1]
+				pairs[i] = batch.Pair[int32]{A: a[lo.A:hi.A], B: b[lo.B:hi.B], Out: out[lo.Diagonal():hi.Diagonal()]}
+			}
+			batch.Merge(pairs, p)
+		}},
 	}
 
 	rng := rand.New(rand.NewSource(220))
@@ -85,6 +100,33 @@ func TestDifferentialSorters(t *testing.T) {
 		insertionSortHelper(want)
 		for _, p := range []int{1, 4} {
 			for _, s := range sorters {
+				got := append([]int32(nil), data...)
+				s.run(got, p)
+				if !verify.Equal(got, want) {
+					t.Fatalf("%s n=%d p=%d: diverges at %d", s.name, n, p, firstDiff(got, want))
+				}
+			}
+		}
+	}
+
+	// Sizes past the 64K run cap with odd run counts, so phase 2 has
+	// levels whose last run is carried through a round as a pair with
+	// an empty B.
+	engines := []sorter{
+		{"psort.Sort", func(s []int32, p int) { psort.Sort(s, p) }},
+		{"psort.SortFunc", func(s []int32, p int) { psort.SortFunc(s, p, func(x, y int32) bool { return x < y }) }},
+		{"psort.SortCtx", func(s []int32, p int) {
+			if err := psort.SortCtx(context.Background(), s, p); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	}
+	for _, n := range []int{3*65536 + 1, 5*65536 + 17} {
+		data := workload.Unsorted(rng, n)
+		want := append([]int32(nil), data...)
+		slices.Sort(want)
+		for _, p := range []int{1, 2, 3, 5} {
+			for _, s := range engines {
 				got := append([]int32(nil), data...)
 				s.run(got, p)
 				if !verify.Equal(got, want) {

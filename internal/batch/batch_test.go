@@ -112,12 +112,12 @@ func TestWorkerLoadsBalanced(t *testing.T) {
 		total += len(pr.Out)
 	}
 	for _, p := range []int{1, 3, 16} {
-		loads := WorkerLoads(pairs, p)
+		loads := MergeWithLoads(pairs, p)
 		sum := 0
 		for _, l := range loads {
-			sum += l
-			if l > total/p+1 || l < total/p-1 {
-				t.Fatalf("p=%d: load %d far from %d", p, l, total/p)
+			sum += l.Elements
+			if l.Elements > total/p+1 || l.Elements < total/p-1 {
+				t.Fatalf("p=%d: load %d far from %d", p, l.Elements, total/p)
 			}
 		}
 		if sum != total {

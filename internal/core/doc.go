@@ -19,7 +19,10 @@
 // partitioning of a merge into any number of independent jobs (Partition),
 // sequential merge kernels, and the paper's Algorithm 1 (Parallel Merge),
 // which merges with p goroutines, no locks, and no inter-worker
-// communication.
+// communication. MergeRound applies Algorithm 1 to a whole list of pairs
+// at once, cutting their combined output at equal ranks; ParallelMerge
+// is its one-pair case, and every parallel merge round in the
+// repository's batch, sort, k-way and service layers is one MergeRound.
 //
 // Convention and stability: we resolve ties by consuming from A first
 // (the path moves right only when A[i] > B[j], exactly as in the paper's

@@ -23,16 +23,8 @@ func Merge[T cmp.Ordered](a, b, out []T) {
 		}
 		k++
 	}
-	for i < len(a) {
-		out[k] = a[i]
-		i++
-		k++
-	}
-	for j < len(b) {
-		out[k] = b[j]
-		j++
-		k++
-	}
+	k += copy(out[k:], a[i:])
+	copy(out[k:], b[j:])
 }
 
 // MergeFunc is Merge under a caller-supplied strict weak ordering.
@@ -54,16 +46,8 @@ func MergeFunc[T any](a, b, out []T, less func(x, y T) bool) {
 		}
 		k++
 	}
-	for i < len(a) {
-		out[k] = a[i]
-		i++
-		k++
-	}
-	for j < len(b) {
-		out[k] = b[j]
-		j++
-		k++
-	}
+	k += copy(out[k:], a[i:])
+	copy(out[k:], b[j:])
 }
 
 // MergeSteps advances a merge of a and b by exactly steps elements starting
@@ -93,16 +77,11 @@ func MergeSteps[T cmp.Ordered](a, b []T, start Point, steps int, out []T) Point 
 		}
 		k++
 	}
-	for k < steps && i < len(a) {
-		out[k] = a[i]
-		i++
-		k++
-	}
-	for k < steps && j < len(b) {
-		out[k] = b[j]
-		j++
-		k++
-	}
+	// One input is exhausted or the step budget is spent: the rest is a
+	// straight copy.
+	n := copy(out[k:steps], a[i:])
+	i, k = i+n, k+n
+	j += copy(out[k:steps], b[j:])
 	return Point{A: i, B: j}
 }
 
@@ -126,16 +105,11 @@ func MergeStepsFunc[T any](a, b []T, start Point, steps int, out []T, less func(
 		}
 		k++
 	}
-	for k < steps && i < len(a) {
-		out[k] = a[i]
-		i++
-		k++
-	}
-	for k < steps && j < len(b) {
-		out[k] = b[j]
-		j++
-		k++
-	}
+	// One input is exhausted or the step budget is spent: the rest is a
+	// straight copy.
+	n := copy(out[k:steps], a[i:])
+	i, k = i+n, k+n
+	j += copy(out[k:steps], b[j:])
 	return Point{A: i, B: j}
 }
 

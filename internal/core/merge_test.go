@@ -261,12 +261,6 @@ func TestMergedRange(t *testing.T) {
 				t.Fatalf("range [%d,%d): position %d differs", lo, hi, i)
 			}
 		}
-		// Func variant must agree.
-		out2 := make([]int32, hi-lo)
-		MergedRangeFunc(a, b, lo, hi, out2, func(x, y int32) bool { return x < y })
-		if !verify.Equal(out, out2) {
-			t.Fatalf("func variant diverges on [%d,%d)", lo, hi)
-		}
 	}
 }
 
@@ -277,8 +271,6 @@ func TestMergedRangePanics(t *testing.T) {
 		"inv":  func() { MergedRange(a, b, 2, 1, nil) },
 		"over": func() { MergedRange(a, b, 0, 3, make([]int32, 3)) },
 		"out":  func() { MergedRange(a, b, 0, 2, nil) },
-		"fneg": func() { MergedRangeFunc(a, b, -1, 0, nil, func(x, y int32) bool { return x < y }) },
-		"fout": func() { MergedRangeFunc(a, b, 0, 2, nil, func(x, y int32) bool { return x < y }) },
 	} {
 		func() {
 			defer func() {

@@ -2,7 +2,7 @@ package core
 
 import (
 	"cmp"
-	"sync"
+	"context"
 )
 
 // ParallelMerge is Algorithm 1 of the paper: merge the sorted slices a and b
@@ -11,174 +11,18 @@ import (
 // Each worker i independently computes the intersection of the merge path
 // with cross diagonal i*(|a|+|b|)/p by binary search, then executes its
 // share of sequential merge steps, writing to a disjoint region of out.
-// There are no locks, no atomics and no inter-worker communication; the only
-// synchronization is the terminal barrier (the WaitGroup), matching the
-// paper's "Barrier" at the end of Algorithm 1.
+// There are no locks and no inter-worker communication; the only
+// synchronization is the terminal barrier, matching the paper's "Barrier"
+// at the end of Algorithm 1. It is a one-pair MergeRound.
 //
 // p < 1 panics; p == 1 degenerates to a sequential merge plus the (small)
 // cost of the framework, which experiment E2 measures against Merge.
 // out must have length len(a)+len(b).
 func ParallelMerge[T cmp.Ordered](a, b, out []T, p int) {
-	if p < 1 {
-		panic("core: worker count must be positive")
-	}
-	if len(out) != len(a)+len(b) {
-		panic("core: output length mismatch")
-	}
-	total := len(a) + len(b)
-	if p > total {
-		p = max(total, 1)
-	}
-	if p == 1 {
-		start := SearchDiagonal(a, b, 0) // the origin; kept for symmetry
-		MergeSteps(a, b, start, total, out)
-		return
-	}
-	var wg sync.WaitGroup
-	wg.Add(p)
-	for i := 0; i < p; i++ {
-		go func(i int) {
-			defer wg.Done()
-			lo := i * total / p
-			hi := (i + 1) * total / p
-			start := SearchDiagonal(a, b, lo)
-			MergeSteps(a, b, start, hi-lo, out[lo:hi])
-		}(i)
-	}
-	wg.Wait()
+	MergeRound(context.Background(), []Pair[T]{{A: a, B: b, Out: out}}, p, nil)
 }
 
 // ParallelMergeFunc is ParallelMerge under a caller-supplied ordering.
 func ParallelMergeFunc[T any](a, b, out []T, p int, less func(x, y T) bool) {
-	if p < 1 {
-		panic("core: worker count must be positive")
-	}
-	if len(out) != len(a)+len(b) {
-		panic("core: output length mismatch")
-	}
-	total := len(a) + len(b)
-	if p > total {
-		p = max(total, 1)
-	}
-	if p == 1 {
-		MergeStepsFunc(a, b, Point{}, total, out, less)
-		return
-	}
-	var wg sync.WaitGroup
-	wg.Add(p)
-	for i := 0; i < p; i++ {
-		go func(i int) {
-			defer wg.Done()
-			lo := i * total / p
-			hi := (i + 1) * total / p
-			start := SearchDiagonalFunc(a, b, lo, less)
-			MergeStepsFunc(a, b, start, hi-lo, out[lo:hi], less)
-		}(i)
-	}
-	wg.Wait()
-}
-
-// ParallelMergePrepartitioned merges using an explicit boundary list from
-// Partition (or any valid non-overlapping cover of the merge path). It lets
-// callers reuse a partition across runs, supply deliberately unbalanced
-// partitions for the load-balance experiments, or run segments on an
-// existing worker pool.
-func ParallelMergePrepartitioned[T cmp.Ordered](a, b, out []T, boundaries []Point) {
-	if len(out) != len(a)+len(b) {
-		panic("core: output length mismatch")
-	}
-	if len(boundaries) < 2 {
-		panic("core: need at least two boundary points")
-	}
-	var wg sync.WaitGroup
-	wg.Add(len(boundaries) - 1)
-	for i := 0; i+1 < len(boundaries); i++ {
-		go func(start, end Point) {
-			defer wg.Done()
-			lo, hi := start.Diagonal(), end.Diagonal()
-			MergeSteps(a, b, start, hi-lo, out[lo:hi])
-		}(boundaries[i], boundaries[i+1])
-	}
-	wg.Wait()
-}
-
-// mergeJob describes one worker's slice of a merge for the pooled variant.
-type mergeJob struct {
-	lo, hi int
-}
-
-// Pool is a reusable fixed-size worker pool for repeated parallel merges.
-// Algorithm 1 spawns workers per call, which is faithful to the paper's
-// OpenMP parallel-for but pays goroutine start-up on every merge; the merge
-// rounds of a merge sort issue many small merges, where a persistent pool
-// amortizes that cost. Pool is safe for sequential reuse, not for
-// concurrent Merge calls.
-type Pool struct {
-	p    int
-	jobs []chan mergeJob
-	done chan struct{}
-	run  func(job mergeJob)
-	wg   sync.WaitGroup
-}
-
-// NewPool starts a pool of p workers. Close must be called to release them.
-func NewPool(p int) *Pool {
-	if p < 1 {
-		panic("core: worker count must be positive")
-	}
-	pool := &Pool{
-		p:    p,
-		jobs: make([]chan mergeJob, p),
-		done: make(chan struct{}),
-	}
-	pool.wg.Add(p)
-	for i := range pool.jobs {
-		pool.jobs[i] = make(chan mergeJob, 1)
-		go func(jobs <-chan mergeJob) {
-			defer pool.wg.Done()
-			for job := range jobs {
-				pool.run(job)
-			}
-		}(pool.jobs[i])
-	}
-	return pool
-}
-
-// Workers reports the pool size.
-func (pl *Pool) Workers() int { return pl.p }
-
-// Close shuts the pool down and waits for its workers to exit.
-func (pl *Pool) Close() {
-	for _, ch := range pl.jobs {
-		close(ch)
-	}
-	pl.wg.Wait()
-}
-
-// Merge runs ParallelMerge on the pool's workers.
-//
-// The closure handed to the workers is swapped per call; a sync.WaitGroup
-// local to the call provides the terminal barrier.
-func MergeOnPool[T cmp.Ordered](pl *Pool, a, b, out []T) {
-	if len(out) != len(a)+len(b) {
-		panic("core: output length mismatch")
-	}
-	total := len(a) + len(b)
-	p := pl.p
-	if p > total {
-		// Degenerate tiny input: do it inline rather than schedule empty jobs.
-		Merge(a, b, out)
-		return
-	}
-	var wg sync.WaitGroup
-	wg.Add(p)
-	pl.run = func(job mergeJob) {
-		defer wg.Done()
-		start := SearchDiagonal(a, b, job.lo)
-		MergeSteps(a, b, start, job.hi-job.lo, out[job.lo:job.hi])
-	}
-	for i := 0; i < p; i++ {
-		pl.jobs[i] <- mergeJob{lo: i * total / p, hi: (i + 1) * total / p}
-	}
-	wg.Wait()
+	MergeRoundFunc(context.Background(), []Pair[T]{{A: a, B: b, Out: out}}, p, nil, less)
 }

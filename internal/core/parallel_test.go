@@ -84,85 +84,6 @@ func TestParallelMergeFuncStability(t *testing.T) {
 	}
 }
 
-func TestParallelMergePrepartitioned(t *testing.T) {
-	rng := rand.New(rand.NewSource(32))
-	for trial := 0; trial < 40; trial++ {
-		na, nb := rng.Intn(800), rng.Intn(800)
-		a := workload.SortedUniform32(rng, na)
-		b := workload.SortedUniform32(rng, nb)
-		want := verify.ReferenceMerge(a, b)
-
-		// Deliberately uneven partition: cut at random diagonals.
-		cuts := 1 + rng.Intn(6)
-		ks := make([]int, 0, cuts+2)
-		ks = append(ks, 0)
-		for i := 0; i < cuts; i++ {
-			ks = append(ks, rng.Intn(na+nb+1))
-		}
-		ks = append(ks, na+nb)
-		// Insertion sort the cut list.
-		for i := 1; i < len(ks); i++ {
-			for j := i; j > 0 && ks[j] < ks[j-1]; j-- {
-				ks[j], ks[j-1] = ks[j-1], ks[j]
-			}
-		}
-		bounds := make([]Point, len(ks))
-		for i, k := range ks {
-			bounds[i] = SearchDiagonal(a, b, k)
-		}
-		out := make([]int32, na+nb)
-		ParallelMergePrepartitioned(a, b, out, bounds)
-		if !verify.Equal(out, want) {
-			t.Fatalf("trial %d: prepartitioned merge differs (cuts %v)", trial, ks)
-		}
-	}
-}
-
-func TestParallelMergePrepartitionedPanics(t *testing.T) {
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("expected panic for single boundary")
-			}
-		}()
-		ParallelMergePrepartitioned([]int32{}, []int32{}, []int32{}, []Point{{}})
-	}()
-}
-
-func TestPoolMerge(t *testing.T) {
-	rng := rand.New(rand.NewSource(33))
-	pool := NewPool(4)
-	defer pool.Close()
-	if pool.Workers() != 4 {
-		t.Fatalf("workers = %d", pool.Workers())
-	}
-	for trial := 0; trial < 30; trial++ {
-		na, nb := rng.Intn(3000), rng.Intn(3000)
-		a := workload.SortedUniform32(rng, na)
-		b := workload.SortedUniform32(rng, nb)
-		out := make([]int32, na+nb)
-		MergeOnPool(pool, a, b, out)
-		if !verify.IsMergeOf(out, a, b) {
-			t.Fatalf("trial %d: pool merge incorrect", trial)
-		}
-	}
-	// Tiny input goes through the inline path.
-	out := make([]int32, 2)
-	MergeOnPool(pool, []int32{5}, []int32{1}, out)
-	if out[0] != 1 || out[1] != 5 {
-		t.Fatalf("tiny pool merge: %v", out)
-	}
-}
-
-func TestNewPoolPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for p=0")
-		}
-	}()
-	NewPool(0)
-}
-
 func TestParallelMergeQuick(t *testing.T) {
 	f := func(rawA, rawB []int32, pSeed uint8) bool {
 		a, b := sortedCopy(rawA), sortedCopy(rawB)

@@ -26,20 +26,6 @@ func Partition[T cmp.Ordered](a, b []T, p int) []Point {
 	return boundaries
 }
 
-// PartitionFunc is Partition under a caller-supplied strict weak ordering.
-func PartitionFunc[T any](a, b []T, p int, less func(x, y T) bool) []Point {
-	if p < 1 {
-		panic("core: partition count must be positive")
-	}
-	total := len(a) + len(b)
-	boundaries := make([]Point, p+1)
-	boundaries[p] = Point{A: len(a), B: len(b)}
-	for i := 1; i < p; i++ {
-		boundaries[i] = SearchDiagonalFunc(a, b, i*total/p, less)
-	}
-	return boundaries
-}
-
 // PartitionCounted is Partition instrumented with the total number of
 // element comparisons spent in the p-1 diagonal searches, for the work
 // complexity experiment (E11): the bound is (p-1)*(log2(min(|a|,|b|))+1).

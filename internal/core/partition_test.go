@@ -79,24 +79,6 @@ func TestPartitionSegmentsMergeToWhole(t *testing.T) {
 	}
 }
 
-func TestPartitionFuncAgrees(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	less := func(x, y int32) bool { return x < y }
-	for trial := 0; trial < 60; trial++ {
-		na, nb := rng.Intn(200), rng.Intn(200)
-		p := 1 + rng.Intn(10)
-		a := workload.SortedUniform32(rng, na)
-		b := workload.SortedUniform32(rng, nb)
-		b1 := Partition(a, b, p)
-		b2 := PartitionFunc(a, b, p, less)
-		for i := range b1 {
-			if b1[i] != b2[i] {
-				t.Fatalf("boundary %d: %+v vs %+v", i, b1[i], b2[i])
-			}
-		}
-	}
-}
-
 func TestPartitionCountedBound(t *testing.T) {
 	// Experiment E11: partition cost is at most (p-1)*(log2(min)+1).
 	rng := rand.New(rand.NewSource(24))

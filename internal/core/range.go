@@ -17,15 +17,3 @@ func MergedRange[T cmp.Ordered](a, b []T, lo, hi int, out []T) {
 	start := SearchDiagonal(a, b, lo)
 	MergeSteps(a, b, start, hi-lo, out)
 }
-
-// MergedRangeFunc is MergedRange under a caller-supplied ordering.
-func MergedRangeFunc[T any](a, b []T, lo, hi int, out []T, less func(x, y T) bool) {
-	if lo < 0 || hi < lo || hi > len(a)+len(b) {
-		panic("core: merged range out of bounds")
-	}
-	if len(out) != hi-lo {
-		panic("core: output length mismatch")
-	}
-	start := SearchDiagonalFunc(a, b, lo, less)
-	MergeStepsFunc(a, b, start, hi-lo, out, less)
-}

@@ -267,7 +267,7 @@ func TestMergeCoRankStats(t *testing.T) {
 		}
 		p := 1 + rng.Intn(8)
 		dst := make([]int32, total)
-		got, st := MergeCoRank(dst, lists, p)
+		got, st := MergeIntoStats(dst, lists, p, StrategyCoRank)
 		if !verify.Equal(got, HeapMerge(lists)) {
 			t.Fatal("co-rank merge differs from heap baseline")
 		}

@@ -23,6 +23,7 @@ package kway
 import (
 	"cmp"
 	"container/heap"
+	"context"
 
 	"mergepath/internal/core"
 )
@@ -66,11 +67,11 @@ func MergeInto[T cmp.Ordered](dst []T, lists [][]T, p int) []T {
 // most one scratch buffer: rounds alternate between scratch and dst
 // (flip-flop), with the parity chosen so the last round lands on dst.
 // Round r+2 may overwrite round r's buffer because round r+1 already
-// consumed it. merge performs one pairwise merge with the given worker
-// count; its first input is always the lower-indexed subtree, which is
-// what preserves the cross-list tie rule through the tree.
-func treeMerge[T any](dst []T, lists [][]T, p int, merge func(a, b, out []T, workers int)) {
-	total := len(dst)
+// consumed it. Each level is one balanced round over all of its pairs;
+// an odd run is carried as a pair with an empty B. A pair's first input
+// is always the lower-indexed subtree, which is what preserves the
+// cross-list tie rule through the tree.
+func treeMerge[T any](dst []T, lists [][]T, p int, round func(pairs []core.Pair[T], p int)) {
 	runs := append(make([][]T, 0, len(lists)), lists...)
 	rounds := 0
 	for n := len(runs); n > 1; n = (n + 1) / 2 {
@@ -78,48 +79,30 @@ func treeMerge[T any](dst []T, lists [][]T, p int, merge func(a, b, out []T, wor
 	}
 	var scratch []T
 	if rounds > 1 {
-		scratch = make([]T, total)
+		scratch = make([]T, len(dst))
 	}
-	round := 0
-	for len(runs) > 1 {
-		round++
+	pairs := make([]core.Pair[T], 0, (len(runs)+1)/2)
+	for level := 1; len(runs) > 1; level++ {
 		buf := dst
-		if (rounds-round)%2 == 1 {
+		if (rounds-level)%2 == 1 {
 			buf = scratch
 		}
-		pairs := len(runs) / 2
-		next := make([][]T, 0, (len(runs)+1)/2)
-		perMerge := p / pairs
-		if perMerge < 1 {
-			perMerge = 1
-		}
-		type job struct{ a, b, out []T }
-		jobs := make([]job, 0, pairs)
+		pairs = pairs[:0]
 		offset := 0
-		for m := 0; m < pairs; m++ {
-			a, b := runs[2*m], runs[2*m+1]
+		for m := 0; m < len(runs); m += 2 {
+			a, b := runs[m], []T(nil)
+			if m+1 < len(runs) {
+				b = runs[m+1]
+			}
 			out := buf[offset : offset+len(a)+len(b)]
-			offset += len(a) + len(b)
-			jobs = append(jobs, job{a, b, out})
-			next = append(next, out)
+			offset += len(out)
+			pairs = append(pairs, core.Pair[T]{A: a, B: b, Out: out})
 		}
-		if len(runs)%2 == 1 {
-			last := runs[len(runs)-1]
-			out := buf[offset : offset+len(last)]
-			copy(out, last)
-			next = append(next, out)
+		round(pairs, p)
+		runs = runs[:len(pairs)]
+		for i, pr := range pairs {
+			runs[i] = pr.Out
 		}
-		done := make(chan struct{})
-		for _, j := range jobs {
-			go func(j job) {
-				merge(j.a, j.b, j.out, perMerge)
-				done <- struct{}{}
-			}(j)
-		}
-		for range jobs {
-			<-done
-		}
-		runs = next
 	}
 }
 
@@ -199,8 +182,8 @@ func MergeFunc[T any](lists [][]T, p int, less func(x, y T) bool) []T {
 		copy(dst, lists[0])
 		return dst
 	}
-	treeMerge(dst, lists, p, func(a, b, out []T, workers int) {
-		core.ParallelMergeFunc(a, b, out, workers, less)
+	treeMerge(dst, lists, p, func(pairs []core.Pair[T], p int) {
+		core.MergeRoundFunc(context.Background(), pairs, p, nil, less)
 	})
 	return dst
 }

@@ -2,6 +2,7 @@ package kway
 
 import (
 	"cmp"
+	"context"
 	"fmt"
 
 	"mergepath/internal/core"
@@ -141,22 +142,14 @@ func MergeIntoStats[T cmp.Ordered](dst []T, lists [][]T, p int, strat Strategy) 
 			heapMergeInto(dst, lists)
 		case StrategyTree:
 			st.Workers = p
-			treeMerge(dst, lists, p, func(a, b, out []T, workers int) {
-				core.ParallelMerge(a, b, out, workers)
+			treeMerge(dst, lists, p, func(pairs []core.Pair[T], p int) {
+				core.MergeRound(context.Background(), pairs, p, nil)
 			})
 		default:
 			coRankMergeInto(dst, lists, p, &st)
 		}
 	}
 	return dst, st
-}
-
-// MergeCoRank is MergeInto pinned to the co-ranking strategy: CoRank
-// cuts the k runs at p equispaced output ranks and p workers each merge
-// their disjoint window lock-free in a single pass. Stability matches
-// Merge (ties by source-list index, then position).
-func MergeCoRank[T cmp.Ordered](dst []T, lists [][]T, p int) ([]T, Stats) {
-	return MergeIntoStats(dst, lists, p, StrategyCoRank)
 }
 
 // coRankMergeInto runs the co-ranking strategy proper. The p-1 cut

@@ -11,11 +11,10 @@ import (
 	"mergepath/internal/stats"
 )
 
-// cancelRunElems caps the initial run length of SortCtx so cancellation
-// is observed between runs in phase 1 as well as between chunks in the
-// phase-2 merges (core.ParallelMergeCtx). Matches core's chunking
-// granularity.
-const cancelRunElems = 1 << 16
+// maxRunElems caps the phase-1 run length, so cancellation is observed
+// between runs as well as between the round's merge chunks, and so a
+// run's sort stays cache-sized. Matches core's chunking granularity.
+const maxRunElems = 1 << 16
 
 // SortStats reports what an instrumented SortCtxStats run did: how the
 // work decomposed (runs, merge rounds) and where the time went. RunSort
@@ -46,20 +45,18 @@ type SortStats struct {
 }
 
 // SortCtx is Sort with cooperative cancellation: a canceled or expired
-// ctx stops the sort at the next chunk boundary instead of running the
-// full O(n log n) to completion. Phase 1 sorts runs of at most
-// cancelRunElems elements (workers pull runs from a shared counter and
-// check ctx between runs); phase 2 executes every pairwise merge through
-// core.ParallelMergeCtx, which checks ctx every cancelCheckElems output
-// elements.
+// ctx stops the sort at the next run or chunk boundary instead of
+// running the full O(n log n) to completion. Workers pull phase-1 runs
+// from a shared counter and check ctx between runs; every phase-2 round
+// is a core.MergeRound, which checks ctx every 64K output elements.
 //
 // Returns nil when s is fully sorted and ctx.Err() when the sort was
 // abandoned — s then holds an unspecified intermediate state (it may not
 // even be a permutation of the input, since ping-pong rounds were
-// interrupted mid-copy) and must be discarded. Like Sort, the result is
+// interrupted mid-merge) and must be discarded. Like Sort, the result is
 // stable and p < 1 panics.
 func SortCtx[T cmp.Ordered](ctx context.Context, s []T, p int) error {
-	_, err := sortCtx(ctx, s, p, false)
+	_, err := sortRounds(ctx, s, p, false, seqSort[T], core.MergeRound[T])
 	return err
 }
 
@@ -68,13 +65,19 @@ func SortCtx[T cmp.Ordered](ctx context.Context, s []T, p int) error {
 // worst per-round load imbalance (see SortStats). Stats are returned
 // even when the sort was abandoned, covering the work done so far.
 func SortCtxStats[T cmp.Ordered](ctx context.Context, s []T, p int) (SortStats, error) {
-	return sortCtx(ctx, s, p, true)
+	return sortRounds(ctx, s, p, true, seqSort[T], core.MergeRound[T])
 }
 
-// sortCtx is the shared engine of SortCtx and SortCtxStats; timed
+// sortRounds is the one ping-pong engine behind Sort, SortFunc, SortCtx
+// and SortCtxStats. Phase 1 sorts runs of at most maxRunElems elements
+// with seq; phase 2 merges neighbouring runs level by level, each level
+// one balanced round over all of its pairs, ping-ponging between s and a
+// scratch buffer. A level with an odd run count carries the last run as
+// a pair with an empty B, so the carry is balanced work too. timed
 // selects whether per-phase timing and per-round load summaries are
 // collected.
-func sortCtx[T cmp.Ordered](ctx context.Context, s []T, p int, timed bool) (SortStats, error) {
+func sortRounds[T any](ctx context.Context, s []T, p int, timed bool, seq func(s, scratch []T),
+	round func(ctx context.Context, pairs []core.Pair[T], p int, ws []core.WorkerStat) ([]core.WorkerStat, error)) (SortStats, error) {
 	var st SortStats
 	if p < 1 {
 		panic("psort: worker count must be positive")
@@ -86,133 +89,86 @@ func sortCtx[T cmp.Ordered](ctx context.Context, s []T, p int, timed bool) (Sort
 	if err := ctx.Err(); err != nil {
 		return st, err
 	}
-	if p > n {
-		p = n
-	}
-
-	// Runs sized for cancellation granularity: n/p like Sort, but capped
-	// so one sequential run sort cannot outlive the deadline by much.
-	runLen := (n + p - 1) / p
-	if runLen > cancelRunElems {
-		runLen = cancelRunElems
-	}
-	var runs [][2]int
-	for lo := 0; lo < n; lo += runLen {
-		runs = append(runs, [2]int{lo, min(lo+runLen, n)})
-	}
-	st.Runs = len(runs)
-
+	p = min(p, n)
+	runLen := min((n+p-1)/p, maxRunElems)
+	st.Runs = (n + runLen - 1) / runLen
 	scratch := make([]T, n)
-	var stop atomic.Bool
-	var runSortNanos atomic.Int64
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(p)
-	for w := 0; w < p; w++ {
-		go func() {
-			defer wg.Done()
-			var local time.Duration
-			for {
-				if stop.Load() {
-					break
-				}
-				if ctx.Err() != nil {
-					stop.Store(true)
-					break
-				}
-				i := int(next.Add(1)) - 1
-				if i >= len(runs) {
-					break
-				}
-				lo, hi := runs[i][0], runs[i][1]
-				var t0 time.Time
-				if timed {
-					t0 = time.Now()
-				}
-				seqSort(s[lo:hi], scratch[lo:hi])
-				if timed {
-					local += time.Since(t0)
-				}
-			}
-			if timed {
-				runSortNanos.Add(local.Nanoseconds())
-			}
-		}()
-	}
-	wg.Wait()
-	st.RunSort = time.Duration(runSortNanos.Load())
-	if stop.Load() {
-		return st, ctx.Err()
+	if err := sortRuns(ctx, s, scratch, runLen, min(p, st.Runs), &st, timed, seq); err != nil {
+		return st, err
 	}
 
-	// Phase 2: pairwise merge rounds, ping-ponging s and scratch, each
-	// merge cancellation-aware. A merge that observes ctx done leaves its
-	// destination range partial; the round is then abandoned wholesale.
-	// In timed mode each merge collects per-worker stats; the round's
-	// element counts feed one LoadSummary per round and MaxImbalance
-	// keeps the worst.
+	var ws []core.WorkerStat
+	if timed {
+		ws = make([]core.WorkerStat, p)
+	}
+	pairs := make([]core.Pair[T], 0, (st.Runs+1)/2)
 	src, dst := s, scratch
-	for len(runs) > 1 {
-		if err := ctx.Err(); err != nil {
-			return st, err
+	for width := runLen; width < n; width *= 2 {
+		pairs = pairs[:0]
+		for lo := 0; lo < n; lo += 2 * width {
+			mid, hi := min(lo+width, n), min(lo+2*width, n)
+			pairs = append(pairs, core.Pair[T]{A: src[lo:mid], B: src[mid:hi], Out: dst[lo:hi]})
 		}
-		pairs := len(runs) / 2
-		nextRuns := make([][2]int, 0, (len(runs)+1)/2)
-		perMerge := p / pairs
-		if perMerge < 1 {
-			perMerge = 1
-		}
-		var aborted atomic.Bool
-		var roundStats [][]core.WorkerStat
-		if timed {
-			roundStats = make([][]core.WorkerStat, pairs)
-		}
-		wg.Add(pairs)
-		for m := 0; m < pairs; m++ {
-			r1, r2 := runs[2*m], runs[2*m+1]
-			nextRuns = append(nextRuns, [2]int{r1[0], r2[1]})
-			go func(m int, r1, r2 [2]int) {
-				defer wg.Done()
-				a, b, out := src[r1[0]:r1[1]], src[r2[0]:r2[1]], dst[r1[0]:r2[1]]
-				var err error
-				if timed {
-					roundStats[m], err = core.ParallelMergeCtxStats(ctx, a, b, out, perMerge)
-				} else {
-					err = core.ParallelMergeCtx(ctx, a, b, out, perMerge)
-				}
-				if err != nil {
-					aborted.Store(true)
-				}
-			}(m, r1, r2)
-		}
-		wg.Wait()
+		got, err := round(ctx, pairs, p, ws)
 		st.MergeRounds++
 		if timed {
-			var elems []int
-			for _, ws := range roundStats {
-				for _, w := range ws {
-					st.Search += w.Search
-					st.Merge += w.Merge
-					elems = append(elems, w.Elements)
-				}
+			for _, w := range got {
+				st.Search += w.Search
+				st.Merge += w.Merge
 			}
-			if imb := stats.SummarizeLoads(elems).Imbalance; imb > st.MaxImbalance {
-				st.MaxImbalance = imb
-			}
+			st.MaxImbalance = max(st.MaxImbalance, stats.SummarizeWorkers(got).Imbalance)
 		}
-		if aborted.Load() {
-			return st, ctx.Err()
+		if err != nil {
+			return st, err
 		}
-		if len(runs)%2 == 1 {
-			last := runs[len(runs)-1]
-			copy(dst[last[0]:last[1]], src[last[0]:last[1]])
-			nextRuns = append(nextRuns, last)
-		}
-		runs = nextRuns
 		src, dst = dst, src
 	}
 	if &src[0] != &s[0] {
 		copy(s, src)
 	}
 	return st, nil
+}
+
+// sortRuns is phase 1: p workers pull runLen-element runs of s from a
+// shared counter and sort each with seq, checking ctx between runs.
+func sortRuns[T any](ctx context.Context, s, scratch []T, runLen, p int, st *SortStats, timed bool, seq func(s, scratch []T)) error {
+	var stop atomic.Bool
+	var runSortNanos, next atomic.Int64
+	worker := func() {
+		var t0 time.Time
+		if timed {
+			t0 = time.Now()
+		}
+		for !stop.Load() {
+			if ctx.Err() != nil {
+				stop.Store(true)
+				break
+			}
+			lo := int(next.Add(1)-1) * runLen
+			if lo >= len(s) {
+				break
+			}
+			hi := min(lo+runLen, len(s))
+			seq(s[lo:hi], scratch[lo:hi])
+		}
+		if timed {
+			runSortNanos.Add(int64(time.Since(t0)))
+		}
+	}
+	// Workers 1..p-1 get goroutines; worker 0 runs on the caller.
+	var wg sync.WaitGroup
+	for w := 1; w < p; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			worker()
+		}()
+	}
+	worker()
+	wg.Wait()
+	st.RunSort = time.Duration(runSortNanos.Load())
+	if stop.Load() {
+		return ctx.Err()
+	}
+	return nil
 }

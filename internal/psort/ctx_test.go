@@ -110,3 +110,31 @@ func TestSortCtxDeadline(t *testing.T) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
 }
+
+// TestSortCtxStatsBalancedRounds: every phase-2 level is one balanced
+// round over all of its pairs, so each round engages all p workers
+// within one element of n/p — even when the run count is odd and a
+// level has fewer pairs than workers. Splitting workers per pair (p/pairs
+// each) gave 2.000 on this input: 4 runs, 2 pairs, 1 worker per pair,
+// one of them merging twice the elements of the other.
+func TestSortCtxStatsBalancedRounds(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	const n = 3*65536 + 1
+	s := make([]int, n)
+	for i := range s {
+		s[i] = rng.Int()
+	}
+	st, err := SortCtxStats(context.Background(), s, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sort.IntsAreSorted(s) {
+		t.Fatal("not sorted")
+	}
+	if st.Runs != 4 || st.MergeRounds != 2 {
+		t.Fatalf("runs %d, rounds %d; want 4 runs, 2 rounds", st.Runs, st.MergeRounds)
+	}
+	if st.MaxImbalance > 1.01 {
+		t.Fatalf("MaxImbalance = %.3f, want <= 1.01", st.MaxImbalance)
+	}
+}

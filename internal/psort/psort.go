@@ -1,11 +1,11 @@
 // Package psort implements the paper's two sorting algorithms:
 //
-//   - Sort (§III): parallel merge sort. Each of p workers first sorts an
-//     N/p chunk sequentially; then log2(p) rounds of pairwise merges follow,
-//     every merge executed with the Merge Path parallel merge so that all p
-//     workers stay busy in every round — the property that motivates the
-//     paper (the later rounds of merge sort are where naive parallelization
-//     starves).
+//   - Sort (§III): parallel merge sort. p workers first sort runs of at
+//     most min(N/p, 64K) elements sequentially; then rounds of pairwise
+//     merges follow, each level one balanced core.MergeRound over all of
+//     that level's pairs, so that all p workers stay busy in every round —
+//     the property that motivates the paper (the later rounds of merge
+//     sort are where naive parallelization starves).
 //   - CacheEfficientSort (§IV.C): sort cache-sized blocks one after another
 //     (each with the parallel sort, all workers on one block so the block
 //     stays cache-resident), then a binary tree of segmented parallel
@@ -17,7 +17,7 @@ package psort
 
 import (
 	"cmp"
-	"sync"
+	"context"
 
 	"mergepath/internal/core"
 	"mergepath/internal/spm"
@@ -28,70 +28,9 @@ import (
 const insertionThreshold = 24
 
 // Sort sorts s with p concurrent workers using parallel merge sort.
-// p < 1 panics; p == 1 degenerates to the sequential kernel.
+// p < 1 panics; p == 1 runs the same rounds on the calling goroutine.
 func Sort[T cmp.Ordered](s []T, p int) {
-	if p < 1 {
-		panic("psort: worker count must be positive")
-	}
-	n := len(s)
-	if n < 2 {
-		return
-	}
-	if p > n {
-		p = n
-	}
-	if p == 1 {
-		scratch := make([]T, n)
-		seqSort(s, scratch)
-		return
-	}
-
-	scratch := make([]T, n)
-	// Phase 1: p chunks sorted concurrently, each by the sequential kernel.
-	runs := make([][2]int, p)
-	var wg sync.WaitGroup
-	wg.Add(p)
-	for i := 0; i < p; i++ {
-		lo, hi := i*n/p, (i+1)*n/p
-		runs[i] = [2]int{lo, hi}
-		go func(lo, hi int) {
-			defer wg.Done()
-			seqSort(s[lo:hi], scratch[lo:hi])
-		}(lo, hi)
-	}
-	wg.Wait()
-
-	// Phase 2: rounds of pairwise parallel merges, ping-ponging between s
-	// and scratch. All p workers are spread over the round's merges.
-	src, dst := s, scratch
-	for len(runs) > 1 {
-		pairs := len(runs) / 2
-		next := make([][2]int, 0, (len(runs)+1)/2)
-		perMerge := p / pairs
-		if perMerge < 1 {
-			perMerge = 1
-		}
-		wg.Add(pairs)
-		for m := 0; m < pairs; m++ {
-			r1, r2 := runs[2*m], runs[2*m+1]
-			next = append(next, [2]int{r1[0], r2[1]})
-			go func(r1, r2 [2]int) {
-				defer wg.Done()
-				core.ParallelMerge(src[r1[0]:r1[1]], src[r2[0]:r2[1]], dst[r1[0]:r2[1]], perMerge)
-			}(r1, r2)
-		}
-		wg.Wait()
-		if len(runs)%2 == 1 {
-			last := runs[len(runs)-1]
-			copy(dst[last[0]:last[1]], src[last[0]:last[1]])
-			next = append(next, last)
-		}
-		runs = next
-		src, dst = dst, src
-	}
-	if &src[0] != &s[0] {
-		copy(s, src)
-	}
+	sortRounds(context.Background(), s, p, false, seqSort[T], core.MergeRound[T])
 }
 
 // CacheEfficientSort sorts s with p workers, keeping the working set of
@@ -153,65 +92,14 @@ func CacheEfficientSort[T cmp.Ordered](s []T, cacheElems, p int) {
 }
 
 // SortFunc sorts s under a caller-supplied strict weak ordering with p
-// workers. The structure mirrors Sort; it exists for the stability tests
-// and for callers whose element type is not cmp.Ordered.
+// workers. It runs the same engine as Sort; it exists for the stability
+// tests and for callers whose element type is not cmp.Ordered.
 func SortFunc[T any](s []T, p int, less func(x, y T) bool) {
-	if p < 1 {
-		panic("psort: worker count must be positive")
+	seq := func(s, scratch []T) { seqSortFunc(s, scratch, less) }
+	round := func(ctx context.Context, pairs []core.Pair[T], p int, ws []core.WorkerStat) ([]core.WorkerStat, error) {
+		return core.MergeRoundFunc(ctx, pairs, p, ws, less)
 	}
-	n := len(s)
-	if n < 2 {
-		return
-	}
-	if p > n {
-		p = n
-	}
-	scratch := make([]T, n)
-	if p == 1 {
-		seqSortFunc(s, scratch, less)
-		return
-	}
-	runs := make([][2]int, p)
-	var wg sync.WaitGroup
-	wg.Add(p)
-	for i := 0; i < p; i++ {
-		lo, hi := i*n/p, (i+1)*n/p
-		runs[i] = [2]int{lo, hi}
-		go func(lo, hi int) {
-			defer wg.Done()
-			seqSortFunc(s[lo:hi], scratch[lo:hi], less)
-		}(lo, hi)
-	}
-	wg.Wait()
-	src, dst := s, scratch
-	for len(runs) > 1 {
-		pairs := len(runs) / 2
-		next := make([][2]int, 0, (len(runs)+1)/2)
-		perMerge := p / pairs
-		if perMerge < 1 {
-			perMerge = 1
-		}
-		wg.Add(pairs)
-		for m := 0; m < pairs; m++ {
-			r1, r2 := runs[2*m], runs[2*m+1]
-			next = append(next, [2]int{r1[0], r2[1]})
-			go func(r1, r2 [2]int) {
-				defer wg.Done()
-				core.ParallelMergeFunc(src[r1[0]:r1[1]], src[r2[0]:r2[1]], dst[r1[0]:r2[1]], perMerge, less)
-			}(r1, r2)
-		}
-		wg.Wait()
-		if len(runs)%2 == 1 {
-			last := runs[len(runs)-1]
-			copy(dst[last[0]:last[1]], src[last[0]:last[1]])
-			next = append(next, last)
-		}
-		runs = next
-		src, dst = dst, src
-	}
-	if &src[0] != &s[0] {
-		copy(s, src)
-	}
+	sortRounds(context.Background(), s, p, false, seq, round)
 }
 
 // seqSort is the sequential kernel: bottom-up merge sort over scratch with
@@ -295,55 +183,5 @@ func insertionSortFunc[T any](s []T, less func(x, y T) bool) {
 			j--
 		}
 		s[j] = v
-	}
-}
-
-// CacheEfficientSortFunc is CacheEfficientSort under a caller-supplied
-// strict weak ordering. Stable.
-func CacheEfficientSortFunc[T any](s []T, cacheElems, p int, less func(x, y T) bool) {
-	if p < 1 {
-		panic("psort: worker count must be positive")
-	}
-	if cacheElems < 3 {
-		panic("psort: cache must hold at least 3 elements")
-	}
-	n := len(s)
-	if n < 2 {
-		return
-	}
-	block := cacheElems / 2
-	if block < 1 {
-		block = 1
-	}
-	if block > n {
-		block = n
-	}
-	for lo := 0; lo < n; lo += block {
-		hi := lo + block
-		if hi > n {
-			hi = n
-		}
-		SortFunc(s[lo:hi], p, less)
-	}
-	scratch := make([]T, n)
-	src, dst := s, scratch
-	window := cacheElems / 3
-	for width := block; width < n; width *= 2 {
-		for lo := 0; lo < n; lo += 2 * width {
-			mid := lo + width
-			if mid >= n {
-				copy(dst[lo:n], src[lo:n])
-				break
-			}
-			hi := mid + width
-			if hi > n {
-				hi = n
-			}
-			spm.MergeFunc(src[lo:mid], src[mid:hi], dst[lo:hi], spm.Config{Window: window, Workers: p}, less)
-		}
-		src, dst = dst, src
-	}
-	if &src[0] != &s[0] {
-		copy(s, src)
 	}
 }

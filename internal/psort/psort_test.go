@@ -236,48 +236,3 @@ func TestSortDataflowStability(t *testing.T) {
 		}
 	}
 }
-
-func TestCacheEfficientSortFuncStability(t *testing.T) {
-	rng := rand.New(rand.NewSource(79))
-	for trial := 0; trial < 20; trial++ {
-		n := rng.Intn(3000)
-		keys := workload.UnsortedInts(rng, n, 12)
-		s := verify.Tag(keys, 0)
-		CacheEfficientSortFunc(s, 64+trial*16, 1+trial%4, verify.TaggedLess)
-		if !verify.StableSortOrder(s) {
-			t.Fatalf("n=%d trial=%d: not stable", n, trial)
-		}
-	}
-}
-
-func TestCacheEfficientSortFuncMatchesOrdered(t *testing.T) {
-	rng := rand.New(rand.NewSource(80))
-	less := func(x, y int32) bool { return x < y }
-	for trial := 0; trial < 15; trial++ {
-		n := rng.Intn(6000)
-		s1 := workload.Unsorted(rng, n)
-		s2 := append([]int32(nil), s1...)
-		CacheEfficientSort(s1, 512, 4)
-		CacheEfficientSortFunc(s2, 512, 4, less)
-		if !verify.Equal(s1, s2) {
-			t.Fatalf("trial %d: func variant diverges", trial)
-		}
-	}
-}
-
-func TestCacheEfficientSortFuncPanics(t *testing.T) {
-	less := func(x, y int32) bool { return x < y }
-	for name, f := range map[string]func(){
-		"p0":    func() { CacheEfficientSortFunc([]int32{2, 1}, 64, 0, less) },
-		"cache": func() { CacheEfficientSortFunc([]int32{2, 1}, 2, 1, less) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: expected panic", name)
-				}
-			}()
-			f()
-		}()
-	}
-}

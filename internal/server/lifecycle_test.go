@@ -9,7 +9,7 @@ import (
 	"testing"
 	"time"
 
-	"mergepath/internal/batch"
+	"mergepath/internal/core"
 	"mergepath/internal/fault"
 	"mergepath/internal/verify"
 )
@@ -94,14 +94,14 @@ func TestPanicIsolation(t *testing.T) {
 }
 
 // TestBatchRoundQuarantine drives a panic out of the batch kernel itself
-// (a mis-sized pair reaching batch.MergeWithLoads' length check): the
+// (a mis-sized pair reaching core.MergeRound's length check): the
 // round must be quarantined so only the poisoned pair's job fails and
 // its coalesced round-mates still merge correctly.
 func TestBatchRoundQuarantine(t *testing.T) {
 	s, _ := newTestServer(t, Config{Workers: 2, QueueDepth: 16, BatchWindow: time.Millisecond})
 	release, _ := blockPool(t, s)
 
-	bad := &job{done: make(chan error, 1), pair: &batch.Pair[int64]{
+	bad := &job{done: make(chan error, 1), pair: &core.Pair[int64]{
 		A: []int64{1, 2}, B: []int64{3}, Out: make([]int64, 2), // wrong length: panics in the round
 	}}
 	type goodJob struct {
@@ -113,7 +113,7 @@ func TestBatchRoundQuarantine(t *testing.T) {
 		a := []int64{int64(i), int64(i + 10)}
 		b := []int64{int64(i + 5)}
 		goods[i] = goodJob{
-			j: &job{done: make(chan error, 1), pair: &batch.Pair[int64]{A: a, B: b, Out: make([]int64, 3)}},
+			j: &job{done: make(chan error, 1), pair: &core.Pair[int64]{A: a, B: b, Out: make([]int64, 3)}},
 			a: a, b: b,
 		}
 	}

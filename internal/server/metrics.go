@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"mergepath/internal/batch"
 	"mergepath/internal/core"
 	"mergepath/internal/jobs"
 	"mergepath/internal/kway"
@@ -46,11 +45,11 @@ type Metrics struct {
 	kwayStrategy string // configured k-way strategy knob (set once at New)
 
 	mu            sync.Mutex
-	lastRoundLoad []batch.WorkerLoad // per-worker loads of the latest round
-	lastRound     stats.LoadSummary  // summary of the latest balanced round
-	imbMax        float64            // worst per-round imbalance ratio seen
-	imbSum        float64            // running sum of per-round imbalance ratios
-	imbCount      uint64             // rounds contributing to imbSum
+	lastRoundLoad []core.WorkerStat // per-worker loads of the latest coalesced round
+	lastRound     stats.LoadSummary // summary of the latest balanced round
+	imbMax        float64           // worst per-round imbalance ratio seen
+	imbSum        float64           // running sum of per-round imbalance ratios
+	imbCount      uint64            // rounds contributing to imbSum
 
 	kwayLastK       int     // run count of the latest k-way round
 	kwayLastWorkers int     // windows of the latest k-way co-rank round
@@ -180,28 +179,42 @@ func (m *Metrics) observe(endpoint string, status int, d time.Duration) {
 	}
 }
 
-func (m *Metrics) recordBatchRound(pairs, elems int, loads []batch.WorkerLoad) {
-	m.batchRounds.Add(1)
-	m.batchPairs.Add(uint64(pairs))
-	m.batchElems.Add(uint64(elems))
-	m.mu.Lock()
-	m.lastRoundLoad = loads
-	m.mu.Unlock()
-	m.noteRound(batch.Summarize(loads))
-}
-
-// recordRunRound records the per-worker stats of one uncoalesced
-// whole-pool round (large merge) against the imbalance metrics.
-func (m *Metrics) recordRunRound(ws []core.WorkerStat) {
-	if len(ws) == 0 {
+// recordRound accounts one balanced merge round (core.MergeRound).
+// Every request in traces gets partition and merge spans carrying the
+// round's cumulative worker time — a coalesced round is shared, so each
+// member sees the whole round. pairs is the number of coalesced
+// requests, 0 for a whole-pool run round; a run round that engaged no
+// worker (canceled before it started) is not counted. The per-worker
+// element spread feeds the imbalance metrics. m may be nil (spans only).
+func (m *Metrics) recordRound(began time.Time, ws []core.WorkerStat, pairs int, traces ...*Trace) {
+	if len(ws) == 0 && pairs == 0 {
 		return
 	}
-	m.runRounds.Add(1)
-	elems := make([]int, len(ws))
-	for i, w := range ws {
-		elems[i] = w.Elements
+	var search, merge time.Duration
+	elems := 0
+	for _, w := range ws {
+		search += w.Search
+		merge += w.Merge
+		elems += w.Elements
 	}
-	m.noteRound(stats.SummarizeLoads(elems))
+	for _, tr := range traces {
+		tr.add(StagePartition, began, search)
+		tr.add(StageMerge, began, merge)
+	}
+	if m == nil {
+		return
+	}
+	if pairs == 0 {
+		m.runRounds.Add(1)
+	} else {
+		m.batchRounds.Add(1)
+		m.batchPairs.Add(uint64(pairs))
+		m.batchElems.Add(uint64(elems))
+		m.mu.Lock()
+		m.lastRoundLoad = ws
+		m.mu.Unlock()
+	}
+	m.noteRound(stats.SummarizeWorkers(ws))
 }
 
 // EndpointSnapshot is one endpoint's row in the /metrics JSON.
@@ -242,7 +255,7 @@ type PoolSnapshot struct {
 	BatchPairs    uint64             `json:"batch_pairs"`                // small merges coalesced into them
 	BatchElems    uint64             `json:"batch_elements"`             // output elements those rounds produced
 	PairsPerRound float64            `json:"pairs_per_round"`            // mean coalescing factor
-	LastRoundLoad []batch.WorkerLoad `json:"last_round_loads,omitempty"` // per-worker detail of the latest coalesced round
+	LastRoundLoad []stats.WorkerLoad `json:"last_round_loads,omitempty"` // per-worker detail of the latest coalesced round
 	// RunRounds counts uncoalesced whole-pool rounds (large merges) that
 	// reported per-worker load stats.
 	RunRounds uint64 `json:"run_rounds"`
@@ -404,7 +417,9 @@ func (m *Metrics) snapshot(p *pool) MetricsSnapshot {
 	}
 	s.KWay = m.kwaySnapshot()
 	m.mu.Lock()
-	s.Pool.LastRoundLoad = append([]batch.WorkerLoad(nil), m.lastRoundLoad...)
+	if len(m.lastRoundLoad) > 0 {
+		s.Pool.LastRoundLoad = stats.WorkerLoads(m.lastRoundLoad)
+	}
 	s.Pool.LastRound = m.lastRound
 	s.Pool.ImbalanceMax = m.imbMax
 	if m.imbCount > 0 {

@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"mergepath/internal/batch"
 	"mergepath/internal/core"
 	"mergepath/internal/overload"
 )
@@ -49,13 +48,13 @@ func (e *PanicError) Error() string { return fmt.Sprintf("server: round panicked
 
 // job is one unit of admitted work. Exactly one of pair/run is set:
 // pair jobs are small merges the dispatcher coalesces into one globally
-// load-balanced batch.Merge round; run jobs (large merges, sorts, k-way
+// load-balanced core.MergeRound; run jobs (large merges, sorts, k-way
 // merges, set operations) take the whole pool for one round. run
 // receives the request context and must observe its cancellation at
 // chunk boundaries; a non-nil return fails the job (ctx errors are
 // normalized to ErrCanceled/ErrDeadline, anything else maps to 500).
 type job struct {
-	pair      *batch.Pair[int64]
+	pair      *core.Pair[int64]
 	run       func(ctx context.Context, workers int) error
 	fault     func() error // optional injection hook (internal/fault); runs inside recovery
 	ctx       context.Context
@@ -83,7 +82,7 @@ func (j *job) canceled() bool {
 // Architecture: a bounded queue (admission control) feeds a single
 // dispatcher goroutine that executes *rounds*. Small merges accumulate
 // for up to cfg.BatchWindow (or cfg.BatchElements output elements) and
-// then run as ONE batch.MergeWithLoads round — p workers split the
+// then run as ONE core.MergeRound — p workers split the
 // combined output of every coalesced request evenly, so a burst of skewed
 // little requests cannot starve any worker (the paper's load-balance
 // argument applied across requests instead of within one). Everything
@@ -409,14 +408,16 @@ func (p *pool) runBatch(jobs []*job) {
 	if len(live) == 0 {
 		return
 	}
-	pairs := make([]batch.Pair[int64], len(live))
+	pairs := make([]core.Pair[int64], len(live))
+	traces := make([]*Trace, len(live))
 	elems := 0
 	for i, j := range live {
 		pairs[i] = *j.pair
+		traces[i] = j.trace
 		elems += len(j.pair.Out)
 	}
 	start := time.Now()
-	loads, err := p.safeBatchMerge(pairs)
+	ws, err := p.safeRound(pairs)
 	if err != nil {
 		// Quarantine: one pair poisoned the round. Re-merge each pair
 		// individually, each under its own recovery, so only the
@@ -430,22 +431,8 @@ func (p *pool) runBatch(jobs []*job) {
 	took := time.Since(start)
 	p.busyNanos.Add(took.Nanoseconds())
 	p.ctrl.ObserveDrain(elems, took)
-	if p.m != nil {
-		p.m.recordBatchRound(len(pairs), elems, loads)
-	}
-	// Round-level spans: the coalesced round is shared, so every member
-	// request gets the round's cumulative worker time for the partition
-	// (diagonal + offset searches) and merge stages.
-	var searchMS, mergeMS float64
-	for _, l := range loads {
-		searchMS += l.SearchMS
-		mergeMS += l.MergeMS
-	}
-	searchDur := time.Duration(searchMS * float64(time.Millisecond))
-	mergeDur := time.Duration(mergeMS * float64(time.Millisecond))
+	p.m.recordRound(start, ws, len(pairs), traces...)
 	for _, j := range live {
-		j.trace.add(StagePartition, start, searchDur)
-		j.trace.add(StageMerge, start, mergeDur)
 		p.finish(j, nil)
 	}
 }
@@ -464,14 +451,16 @@ func (p *pool) runPairFault(j *job) (err error) {
 	return j.fault()
 }
 
-// safeBatchMerge is batch.MergeWithLoads behind panic recovery.
-func (p *pool) safeBatchMerge(pairs []batch.Pair[int64]) (loads []batch.WorkerLoad, err error) {
+// safeRound is the coalesced round's core.MergeRound behind panic
+// recovery.
+func (p *pool) safeRound(pairs []core.Pair[int64]) (ws []core.WorkerStat, err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			err = p.recovered(v, "")
 		}
 	}()
-	return batch.MergeWithLoads(pairs, p.effectiveWorkers()), nil
+	workers := p.effectiveWorkers()
+	return core.MergeRound(context.Background(), pairs, workers, make([]core.WorkerStat, workers))
 }
 
 // safeMergeOne re-merges a single quarantined pair sequentially behind

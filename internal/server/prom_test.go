@@ -140,6 +140,11 @@ func TestMetricsPromFormatAndAgreement(t *testing.T) {
 		t.Fatalf("sort: status %d", code)
 	}
 	post(t, ts, "/v1/merge", MergeRequest{A: []int64{3, 1}}, nil) // 400
+	// The server counts a request after writing its response, so the
+	// client can see the 400 before it is counted: wait for the count.
+	pollUntil(t, "the sixth merge request to be counted", func() bool {
+		return s.Snapshot().Endpoints["merge"].Count == 6
+	})
 
 	// No /v1 traffic between the two scrapes, and the metrics endpoints
 	// themselves mutate nothing, so the surfaces must agree exactly.

@@ -29,7 +29,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"mergepath/internal/batch"
 	"mergepath/internal/core"
 	"mergepath/internal/fault"
 	"mergepath/internal/jobs"
@@ -375,23 +374,6 @@ func (s *Server) newJob(op string, r *http.Request) *job {
 	return j
 }
 
-// noteRunStats folds a whole-pool round's per-worker stats into the
-// request trace (partition/merge spans carrying cumulative worker time)
-// and the load-imbalance metrics. began is when the round started.
-func (s *Server) noteRunStats(tr *Trace, began time.Time, ws []core.WorkerStat) {
-	if len(ws) == 0 {
-		return
-	}
-	var search, merge time.Duration
-	for _, w := range ws {
-		search += w.Search
-		merge += w.Merge
-	}
-	tr.add(StagePartition, began, search)
-	tr.add(StageMerge, began, merge)
-	s.m.recordRunRound(ws)
-}
-
 // admit is the pre-decode admission gate: the drain flag and the
 // adaptive overload controller (429, sojourn over target for too
 // long). It runs before the body is decoded so a shedding server does
@@ -473,13 +455,13 @@ func mergeTwo[T cmp.Ordered](s *Server, r *http.Request, a, b, out []T) (int, er
 	j := s.newJob("merge", r)
 	j.elems = len(out)
 	if ia, ok := any(a).([]int64); ok && len(out) <= s.cfg.CoalesceLimit {
-		j.pair = &batch.Pair[int64]{A: ia, B: any(b).([]int64), Out: any(out).([]int64)}
+		j.pair = &core.Pair[int64]{A: ia, B: any(b).([]int64), Out: any(out).([]int64)}
 	} else {
 		tr := j.trace
 		j.run = func(ctx context.Context, workers int) error {
 			began := time.Now()
-			ws, err := core.ParallelMergeCtxStats(ctx, a, b, out, workers)
-			s.noteRunStats(tr, began, ws)
+			ws, err := core.MergeRound(ctx, []core.Pair[T]{{A: a, B: b, Out: out}}, workers, make([]core.WorkerStat, workers))
+			s.m.recordRound(began, ws, 0, tr)
 			return err
 		}
 	}

@@ -152,8 +152,13 @@ func TestTraceSpansConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	snap := s.Snapshot()
+	// The server folds a request's spans into the stage histograms after
+	// writing its response, so wait for the last ones to land.
 	total := uint64(goroutines * perG)
+	pollUntil(t, "every execute span to be observed", func() bool {
+		return s.Snapshot().Stages[StageExecute].Count >= total
+	})
+	snap := s.Snapshot()
 	if got := snap.Stages[StageExecute].Count; got != total {
 		t.Errorf("execute spans = %d, want %d", got, total)
 	}

@@ -346,7 +346,10 @@ func TestJobResultAbortCounted(t *testing.T) {
 		Jobs: jobs.Config{Dir: t.TempDir(), MemoryRecords: 1 << 20},
 	})
 	rng := rand.New(rand.NewSource(3))
-	vals := make([]int64, 1<<19) // 4 MiB result: far beyond socket buffers
+	// 8 MiB result: beyond a loopback connection's socket buffers (Linux
+	// tcp_wmem tops out at 4 MiB by default), so the server is still
+	// writing when the client vanishes.
+	vals := make([]int64, 1<<20)
 	for i := range vals {
 		vals[i] = rng.Int63()
 	}

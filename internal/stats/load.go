@@ -1,5 +1,7 @@
 package stats
 
+import "mergepath/internal/core"
+
 // LoadSummary condenses the per-worker element counts of one balanced
 // round into the numbers the paper's load-balance guarantee is stated
 // in: Theorem 5 promises every worker merges within one element of
@@ -53,4 +55,35 @@ func SummarizeLoads(elems []int) LoadSummary {
 		s.Imbalance = 1 // no work, no imbalance
 	}
 	return s
+}
+
+// SummarizeWorkers is SummarizeLoads over the Elements of a round's
+// per-worker stats (core.MergeRound).
+func SummarizeWorkers(ws []core.WorkerStat) LoadSummary {
+	elems := make([]int, len(ws))
+	for i, w := range ws {
+		elems[i] = w.Elements
+	}
+	return SummarizeLoads(elems)
+}
+
+// WorkerLoad is one worker's share of a balanced merge round as the
+// metrics surfaces render it: output elements produced, distinct pairs
+// (whole or partial) touched, and the worker's time split between
+// locating work (offset + diagonal searches) and merging, in float
+// milliseconds (see Millis).
+type WorkerLoad struct {
+	Elements int     `json:"elements"`  // output elements this worker produced
+	Pairs    int     `json:"pairs"`     // distinct pairs (whole or partial) it touched
+	SearchMS float64 `json:"search_ms"` // offset-table + diagonal searches
+	MergeMS  float64 `json:"merge_ms"`  // emitting output elements
+}
+
+// WorkerLoads renders a round's per-worker stats as WorkerLoads.
+func WorkerLoads(ws []core.WorkerStat) []WorkerLoad {
+	loads := make([]WorkerLoad, len(ws))
+	for i, w := range ws {
+		loads[i] = WorkerLoad{Elements: w.Elements, Pairs: w.Pairs, SearchMS: Millis(w.Search), MergeMS: Millis(w.Merge)}
+	}
+	return loads
 }

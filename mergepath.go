@@ -24,6 +24,7 @@ import (
 	"mergepath/internal/psort"
 	"mergepath/internal/setops"
 	"mergepath/internal/spm"
+	"mergepath/internal/stats"
 )
 
 // Point is a co-rank pair on the merge grid: crossing the merge path here,
@@ -211,7 +212,7 @@ func MergeBatch[T cmp.Ordered](pairs []BatchPair[T], p int) {
 // output elements produced and distinct pairs touched. Elements are
 // always within one of total/p — the balance guarantee the service layer
 // exports per round on its /metrics surface.
-type BatchWorkerLoad = batch.WorkerLoad
+type BatchWorkerLoad = stats.WorkerLoad
 
 // MergeBatchStats is MergeBatch plus observability: the identical
 // globally balanced round, returning one BatchWorkerLoad per worker used.
@@ -220,5 +221,5 @@ func MergeBatchStats[T cmp.Ordered](pairs []BatchPair[T], p int) []BatchWorkerLo
 	for i, pr := range pairs {
 		conv[i] = batch.Pair[T]{A: pr.A, B: pr.B, Out: pr.Out}
 	}
-	return batch.MergeWithLoads(conv, p)
+	return stats.WorkerLoads(batch.MergeWithLoads(conv, p))
 }

@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race verify cover bench bench-kway experiments fmt serve loadtest loadtest-wire chaos soak lint-docs fuzz-wire kway-diff cluster cluster-quick jobs-soak jobs-soak-quick restart-quick restart-soak corrupt-check
+.PHONY: all build vet test race verify cover bench bench-kway experiments fmt serve loadtest loadtest-wire chaos soak lint-docs fuzz-wire fuzz-sort kway-diff cluster cluster-quick jobs-soak jobs-soak-quick restart-quick restart-soak corrupt-check
 
 all: build vet test
 
@@ -47,9 +47,16 @@ kway-diff:
 fuzz-wire:
 	$(GO) test -run FuzzDecode -fuzz FuzzDecode -fuzztime 10s ./internal/wire
 
+# Short coverage-guided fuzz of psort's int64 radix leaf: fuzz bytes
+# become int64 keys tiled until every run reaches the radix cutoff, and
+# the sort must equal slices.Sort for any key bits and worker count.
+fuzz-sort:
+	$(GO) test -run FuzzSortInt64 -fuzz FuzzSortInt64 -fuzztime 10s ./internal/psort
+
 # Full pre-merge gate: build, vet, unit tests, godoc audit, race suite
 # (which includes the fault-injection lifecycle tests in internal/server
-# and internal/fault), a chaos pass against a live in-process daemon,
+# and internal/fault), short fuzz passes over the wire decoder and the
+# psort radix leaf, a chaos pass against a live in-process daemon,
 # the in-process cluster soak (3 backends + router, one backend
 # faulted, under -race), the quick jobs soak (concurrent submits +
 # cancels + GC under fault injection, -race), and the quick in-process
@@ -58,7 +65,7 @@ fuzz-wire:
 # (`make soak`); the multi-process cluster is `make cluster`; the
 # extended jobs soak is `make jobs-soak`; the real SIGKILL restart soak
 # is `make restart-soak`.
-verify: build vet test lint-docs kway-diff race fuzz-wire chaos cluster-quick jobs-soak-quick restart-quick
+verify: build vet test lint-docs kway-diff race fuzz-wire fuzz-sort chaos cluster-quick jobs-soak-quick restart-quick
 
 cover:
 	$(GO) test -cover ./...

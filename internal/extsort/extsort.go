@@ -22,11 +22,12 @@ const DefaultFanIn = 8
 
 // Config parameterizes an external sort.
 type Config struct {
-	// MemoryRecords is M, the in-memory workspace in records — a hard
-	// budget covering run formation (M records sorted at a time) and the
-	// merge phase (per-run input windows plus the output buffer). The
-	// engine's peak allocation is reported in Stats.PeakBufferRecords and
-	// never exceeds M.
+	// MemoryRecords is M, the in-memory workspace in records: the run
+	// formation buffer (M records sorted at a time) and the merge phase's
+	// per-run input windows plus output buffer. The engine's own peak
+	// allocation is reported in Stats.PeakBufferRecords and never exceeds
+	// M. Run formation's psort call allocates its own ping-pong scratch
+	// of the chunk's size besides, so that phase holds up to 2M records.
 	MemoryRecords int
 	// Workers is the parallelism of the in-memory phases (run sorting
 	// and in-window merging). Default 1.
@@ -66,7 +67,8 @@ type Stats struct {
 	BlockWrites uint64 `json:"block_writes"`
 	// PeakBufferRecords is the largest number of in-memory record slots
 	// the engine had allocated at any point — the measured side of the
-	// MemoryRecords contract (always <= MemoryRecords).
+	// MemoryRecords contract (always <= MemoryRecords). It does not count
+	// the in-memory sort's scratch during run formation.
 	PeakBufferRecords int `json:"peak_buffer_records"`
 	// KWayImbalanceMax is the worst per-worker window imbalance ratio of
 	// any co-rank in-window merge this sort ran (the k-way Theorem 5

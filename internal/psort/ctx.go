@@ -30,7 +30,8 @@ type SortStats struct {
 	// MergeRounds is the number of phase-2 pairwise merge rounds.
 	MergeRounds int
 	// RunSort is cumulative worker time spent sequentially sorting
-	// phase-1 runs.
+	// phase-1 runs: with the radix leaf for []int64 runs of at least
+	// radixMinRun (2048) elements, with the merge-sort leaf otherwise.
 	RunSort time.Duration
 	// Search is cumulative worker time spent in diagonal (co-rank)
 	// searches across all phase-2 merges.

@@ -1,7 +1,9 @@
 // Package psort implements the paper's two sorting algorithms:
 //
 //   - Sort (§III): parallel merge sort. p workers first sort runs of at
-//     most min(N/p, 64K) elements sequentially; then rounds of pairwise
+//     most min(N/p, 64K) elements sequentially — an LSD radix sort for
+//     []int64 runs of at least radixMinRun (2048) elements, a merge sort
+//     over insertion-sorted leaves otherwise; then rounds of pairwise
 //     merges follow, each level one balanced core.MergeRound over all of
 //     that level's pairs, so that all p workers stay busy in every round —
 //     the property that motivates the paper (the later rounds of merge
@@ -12,12 +14,16 @@
 //     merges (spm.Merge) whose working set never exceeds the cache.
 //
 // Both sorts are stable and out-of-place internally (ping-pong scratch),
-// with the result always landing back in the caller's slice.
+// with the result always landing back in the caller's slice. The radix
+// leaf keeps that promise because equal int64 keys are equal bytes;
+// float64 and every other type stay on the comparison leaf, where -0 and
+// +0 (equal under <) keep their input order.
 package psort
 
 import (
 	"cmp"
 	"context"
+	"math"
 
 	"mergepath/internal/core"
 	"mergepath/internal/spm"
@@ -102,9 +108,21 @@ func SortFunc[T any](s []T, p int, less func(x, y T) bool) {
 	sortRounds(context.Background(), s, p, false, seq, round)
 }
 
-// seqSort is the sequential kernel: bottom-up merge sort over scratch with
-// insertion-sorted leaves. Stable. len(scratch) must equal len(s).
+// seqSort is the sequential kernel: radixSortInt64 for []int64 runs of at
+// least radixMinRun elements, otherwise bottom-up merge sort over scratch
+// with insertion-sorted leaves. Stable. len(scratch) must equal len(s).
 func seqSort[T cmp.Ordered](s, scratch []T) {
+	n := len(s)
+	if is, ok := any(s).([]int64); ok && n >= radixMinRun && uint64(n) <= math.MaxUint32 {
+		radixSortInt64(is, any(scratch).([]int64))
+		return
+	}
+	mergeSortLeaf(s, scratch)
+}
+
+// mergeSortLeaf is seqSort's comparison kernel, the only one for every
+// type but int64.
+func mergeSortLeaf[T cmp.Ordered](s, scratch []T) {
 	n := len(s)
 	for lo := 0; lo < n; lo += insertionThreshold {
 		hi := lo + insertionThreshold

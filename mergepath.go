@@ -93,8 +93,10 @@ func SegmentedMerge[T cmp.Ordered](a, b, out []T, cfg SegmentedConfig) Segmented
 }
 
 // Sort sorts s with p goroutines using parallel merge sort (§III of the
-// paper): p sequential chunk sorts, then log2(p) rounds of parallel
-// merge-path merges so every round uses all p workers. Stable.
+// paper): sequential sorts of runs of at most min(N/p, 64K) elements,
+// then rounds of parallel merge-path merges so every round uses all p
+// workers. Stable. An []int64 run of 2048 or more elements is sorted by
+// LSD radix, which yields the same bytes as the comparison sort.
 func Sort[T cmp.Ordered](s []T, p int) {
 	psort.Sort(s, p)
 }

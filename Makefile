@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race verify cover bench bench-kway experiments fmt serve loadtest loadtest-wire chaos soak lint-docs fuzz-wire fuzz-sort kway-diff cluster cluster-quick jobs-soak jobs-soak-quick restart-quick restart-soak corrupt-check
+.PHONY: all build vet test race verify cover bench bench-kway experiments fmt serve loadtest loadtest-wire chaos soak lint-docs fuzz-wire fuzz-sort fuzz-kway kway-diff cluster cluster-quick jobs-soak jobs-soak-quick restart-quick restart-soak corrupt-check
 
 all: build vet test
 
@@ -32,12 +32,12 @@ lint-docs:
 		./internal/kway ./internal/fault ./cmd/mergerouter
 
 # Quick k-way differential: every strategy (heap, tree, co-rank) must be
-# byte-identical to the sequential heap baseline across k x sizes x
+# byte-identical to the HeapMerge baseline across k x sizes x
 # duplicate densities, and the co-rank cuts must satisfy their
 # invariants (sum to rank, pairwise order, monotone windows). See
 # docs/KWAY.md for the algorithm these tests pin.
 kway-diff:
-	$(GO) test -run 'TestMergeIntoMatchesHeap|TestCoRank' -count=1 ./internal/kway
+	$(GO) test -run 'TestMergeIntoMatchesHeap|TestMergeIntoSignedZeroTies|TestCoRank' -count=1 ./internal/kway
 
 # Short coverage-guided fuzz of the binary frame decoder: truncated,
 # oversized and corrupt frames must error cleanly (no panic, no
@@ -53,10 +53,17 @@ fuzz-wire:
 fuzz-sort:
 	$(GO) test -run FuzzSortInt64 -fuzz FuzzSortInt64 -fuzztime 10s ./internal/psort
 
+# Short coverage-guided fuzz of the k-way merged output: fuzz bytes
+# become 1..33 sorted runs over a small domain (ties and long runs of
+# one list), and every strategy must equal HeapMerge byte for byte at a
+# seeded worker count, for int64 and for float64 runs mixing -0 and +0.
+fuzz-kway:
+	$(GO) test -run FuzzMergeInto -fuzz FuzzMergeInto -fuzztime 10s ./internal/kway
+
 # Full pre-merge gate: build, vet, unit tests, godoc audit, race suite
 # (which includes the fault-injection lifecycle tests in internal/server
-# and internal/fault), short fuzz passes over the wire decoder and the
-# psort radix leaf, a chaos pass against a live in-process daemon,
+# and internal/fault), short fuzz passes over the wire decoder, the
+# psort radix leaf and the k-way merged output, a chaos pass against a live in-process daemon,
 # the in-process cluster soak (3 backends + router, one backend
 # faulted, under -race), the quick jobs soak (concurrent submits +
 # cancels + GC under fault injection, -race), and the quick in-process
@@ -65,7 +72,7 @@ fuzz-sort:
 # (`make soak`); the multi-process cluster is `make cluster`; the
 # extended jobs soak is `make jobs-soak`; the real SIGKILL restart soak
 # is `make restart-soak`.
-verify: build vet test lint-docs kway-diff race fuzz-wire fuzz-sort chaos cluster-quick jobs-soak-quick restart-quick
+verify: build vet test lint-docs kway-diff race fuzz-wire fuzz-sort fuzz-kway chaos cluster-quick jobs-soak-quick restart-quick
 
 cover:
 	$(GO) test -cover ./...
@@ -74,10 +81,11 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # K-way strategy comparison (heap vs tree vs co-rank at k=4/16/64 over a
-# fixed 1M-element output) plus the co-rank partitioner in isolation and
-# the external-sort fan-in delta.
+# fixed 1M-element output), the int64 window kernel in ns/elem at the
+# served shapes, the co-rank partitioner in isolation and the
+# external-sort fan-in delta.
 bench-kway:
-	$(GO) test -bench 'BenchmarkKWayStrategies|BenchmarkCoRankSearch' -benchmem ./internal/kway
+	$(GO) test -bench 'BenchmarkKWayStrategies|BenchmarkKWayKernel|BenchmarkCoRankSearch' -benchmem ./internal/kway
 	$(GO) test -bench BenchmarkGatherStrategies -benchmem -run xxx ./internal/router
 	$(GO) test -bench BenchmarkSortFanInStrategies -benchmem ./internal/extsort
 

@@ -38,7 +38,7 @@ type jobsBenchDoc struct {
 	// StreamMS is the mean result-streaming wall time.
 	StreamMS float64 `json:"stream_ms"`
 	// Phases aggregates the per-job span timings by phase name
-	// (queue_wait, copy_in, run_formation, merge, copyback, total).
+	// (queue_wait, copy_in, run_formation, merge, total).
 	Phases map[string]stats.HistogramSnapshot `json:"phases"`
 	// MergePasses is the engine's merge-pass count (same for every job:
 	// same data, same budget).
@@ -117,7 +117,7 @@ func runJobsBench(base string, client *http.Client, o options) *jobsBenchDoc {
 		fmt.Sprintf("jobs mode: %d sortfile jobs over %d records (budget %d, %d merge passes, fan-in %d)",
 			o.jobsCount, o.jobsRecords, doc.MemoryRecords, doc.MergePasses, doc.FanIn),
 		"phase", "count", "p50", "p95", "max")
-	for _, name := range []string{"queue_wait", "copy_in", "run_formation", "merge", "copyback", "total"} {
+	for _, name := range []string{"queue_wait", "copy_in", "run_formation", "merge", "total"} {
 		h, ok := phases[name]
 		if !ok {
 			continue

@@ -68,7 +68,6 @@ func main() {
 		jobConcurrency = flag.Int("job-concurrency", 1, "max jobs executing at once")
 		jobQueue       = flag.Int("job-queue", 8, "max jobs waiting to run (full queue sheds with 503)")
 		jobTTL         = flag.Duration("job-ttl", 10*time.Minute, "TTL for finished job state/results and idle datasets")
-		jobFanIn       = flag.Int("job-fan-in", 0, "external-sort merge fan-in (0 = engine default)")
 		journal        = flag.Bool("journal", true, "write-ahead manifest journal under -spill-dir for crash recovery (ignored without -spill-dir; docs/DURABILITY.md)")
 		fsyncPolicy    = flag.String("fsync-policy", "state", "when to fsync journal and spill files: always, state or never (docs/DURABILITY.md)")
 
@@ -116,7 +115,6 @@ func main() {
 			MaxConcurrent:  *jobConcurrency,
 			MaxQueued:      *jobQueue,
 			TTL:            *jobTTL,
-			FanIn:          *jobFanIn,
 			KWay:           kstrat,
 			DisableJournal: !*journal,
 			Fsync:          fsync,

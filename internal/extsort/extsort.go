@@ -15,10 +15,12 @@ import (
 // output at the minimum fan-in of two.
 const MinMemoryRecords = 6
 
-// DefaultFanIn is the merge-tree fan-in used when Config.FanIn is zero:
-// wide enough that one pass usually suffices, narrow enough that each
-// run's window stays block-sized under modest budgets.
-const DefaultFanIn = 8
+// DefaultFanIn is the widest fan-in the pass plan picks when
+// Config.FanIn is zero. A 64-way window merge costs about as much per
+// element as two 8-way ones and a 32-way one clearly less
+// (BenchmarkKWayKernel in internal/kway), while every pass saved is one
+// read and one write of the whole dataset.
+const DefaultFanIn = 64
 
 // Config parameterizes an external sort.
 type Config struct {
@@ -34,15 +36,16 @@ type Config struct {
 	Workers int
 	// FanIn is the number of runs merged per merge-tree node. Higher
 	// fan-in means fewer passes over the data (ceil(log_F(runs)) instead
-	// of ceil(log2)) at the cost of smaller per-run windows. Default
-	// DefaultFanIn; clamped to [2, MemoryRecords/3] so every run keeps at
-	// least a one-record window.
+	// of ceil(log2)) at the cost of smaller per-run windows. Zero plans
+	// it from MemoryRecords and the device's block size (see Sort); a
+	// nonzero value is clamped to [2, MemoryRecords/3] so every run keeps
+	// at least a one-record window.
 	FanIn int
 	// Progress, when non-nil, is called as the sort advances: done
 	// counts records processed so far across all phases (monotonically
 	// non-decreasing), total is the precomputed whole-sort record count,
-	// and phase names the current phase ("run_formation", "merge",
-	// "copyback"). Called from the sorting goroutine; keep it cheap.
+	// and phase names the current phase ("run_formation" or "merge").
+	// Called from the sorting goroutine; keep it cheap.
 	Progress func(done, total int64, phase string)
 	// KWay selects the in-window k-way merge strategy used by the fan-in
 	// phase: kway.StrategyAuto (the zero value) picks per round by run
@@ -58,7 +61,8 @@ type Stats struct {
 	// MergePasses is the number of merge passes over the data
 	// (ceil(log_FanIn(Runs))).
 	MergePasses int `json:"merge_passes"`
-	// FanIn is the effective merge-tree fan-in after clamping.
+	// FanIn is the effective merge-tree fan-in: planned, or the
+	// configured value after clamping.
 	FanIn int `json:"fan_in"`
 	// BlockReads is the total block reads charged against the device and
 	// the scratch device by this sort.
@@ -117,6 +121,12 @@ func (s *sorter[T]) advance(n int, phase string) {
 // of multi-way co-ranking. Total traffic is 2·N/B·(1 + ceil(log_F(N/M)))
 // block transfers plus rounding.
 //
+// With cfg.FanIn zero the fan-in is planned (planFanIn): the fewest
+// passes whose per-run window M/(3F) still holds one device block, then
+// the smallest F that reaches every run in that many passes. Run
+// formation writes to scratch when the pass count is odd, so the last
+// pass lands on dev and no copy-back is needed.
+//
 // scratch is the ping-pong partner device; it must hold at least n
 // records, and may be nil only when n <= cfg.MemoryRecords (a single
 // in-memory run needs no merge phase). ctx cancellation is observed at
@@ -139,41 +149,22 @@ func Sort[T cmp.Ordered](ctx context.Context, dev, scratch Device[T], n int, cfg
 	if s.workers < 1 {
 		s.workers = 1
 	}
-	s.fanIn = cfg.FanIn
-	if s.fanIn == 0 {
-		s.fanIn = DefaultFanIn
-	}
-	if s.fanIn < 2 {
-		s.fanIn = 2
-	}
-	if s.fanIn > m/3 {
-		s.fanIn = m / 3
-	}
-	if s.fanIn < 2 {
-		s.fanIn = 2
+	if cfg.FanIn == 0 {
+		s.fanIn = planFanIn(n, m, dev.BlockRecords())
+	} else {
+		s.fanIn = max(2, min(cfg.FanIn, m/3))
 	}
 	s.window = m / (3 * s.fanIn)
-	if s.window < 1 {
-		s.window = 1
-	}
 	stats.FanIn = s.fanIn
 
 	if n == 0 {
 		return stats, nil
 	}
 
-	// Plan the passes up front so progress has a fixed denominator:
-	// formation touches n records, each pass touches n, and an odd pass
-	// count adds the copy-back stream from scratch.
-	passes := 0
-	for width := m; width < n; width *= s.fanIn {
-		passes++
-	}
-	copyBack := passes%2 == 1
+	// Count the passes up front so progress has a fixed denominator:
+	// formation touches n records and each pass touches n.
+	passes := mergePasses(n, m, s.fanIn)
 	s.total = int64(n) * int64(1+passes)
-	if copyBack {
-		s.total += int64(n)
-	}
 	if passes > 0 {
 		if scratch == nil {
 			return stats, fmt.Errorf("extsort: %d records exceed the %d-record memory budget and no scratch device was given", n, m)
@@ -189,7 +180,13 @@ func Sort[T cmp.Ordered](ctx context.Context, dev, scratch Device[T], n int, cfg
 		scrR0, scrW0 = scratch.Stats()
 	}
 
-	// Phase 1: run formation — sort M records at a time in place.
+	// Phase 1: run formation — sort M records at a time and write them
+	// where the first pass reads (src): scratch when an odd number of
+	// passes follows, so the last one ends on dev.
+	src, dst := dev, scratch
+	if passes%2 == 1 {
+		src, dst = scratch, dev
+	}
 	buf := make([]T, min(m, n))
 	s.note(len(buf))
 	for lo := 0; lo < n; lo += m {
@@ -201,7 +198,7 @@ func Sort[T cmp.Ordered](ctx context.Context, dev, scratch Device[T], n int, cfg
 		if err := psort.SortCtx(ctx, chunk, s.workers); err != nil {
 			return stats, fmt.Errorf("extsort: run formation: %w", err)
 		}
-		if err := dev.Write(lo, chunk); err != nil {
+		if err := src.Write(lo, chunk); err != nil {
 			return stats, err
 		}
 		stats.Runs++
@@ -209,9 +206,7 @@ func Sort[T cmp.Ordered](ctx context.Context, dev, scratch Device[T], n int, cfg
 	}
 	buf = nil
 
-	// Phase 2: F-way merge passes, ping-ponging with the scratch device.
-	src, dst := dev, scratch
-	srcIsDev := true
+	// Phase 2: F-way merge passes, ping-ponging between the devices.
 	for width := m; width < n; width *= s.fanIn {
 		groupSpan := width * s.fanIn
 		for lo := 0; lo < n; lo += groupSpan {
@@ -232,14 +227,7 @@ func Sort[T cmp.Ordered](ctx context.Context, dev, scratch Device[T], n int, cfg
 			}
 		}
 		src, dst = dst, src
-		srcIsDev = !srcIsDev
 		stats.MergePasses++
-	}
-	if !srcIsDev {
-		// Result ended on scratch: stream it back, charging the copy.
-		if err := s.copyBack(ctx, src, dst, n); err != nil {
-			return stats, err
-		}
 	}
 
 	devR1, devW1 := dev.Stats()
@@ -253,6 +241,33 @@ func Sort[T cmp.Ordered](ctx context.Context, dev, scratch Device[T], n int, cfg
 	stats.PeakBufferRecords = s.peak
 	stats.KWayImbalanceMax = s.kwayImb
 	return stats, nil
+}
+
+// planFanIn plans the merge tree for n records under a budget of m
+// records on a device of block-record blocks: the fewest passes whose
+// per-run window m/(3F) still holds one block (F at most DefaultFanIn,
+// at least 2), then the smallest F that reaches every run in that many
+// passes. Fewer passes save whole reads and writes of the data; the
+// smaller F keeps windows wide and the k-way kernel cheap. A block
+// size below one counts as one.
+func planFanIn(n, m, block int) int {
+	widest := max(2, min(DefaultFanIn, m/(3*max(1, block))))
+	passes := mergePasses(n, m, widest)
+	fanIn := 2
+	for mergePasses(n, m, fanIn) > passes {
+		fanIn++
+	}
+	return fanIn
+}
+
+// mergePasses is the number of fanIn-way merge passes that turn runs
+// of m records into one run of n: ceil(log_fanIn(ceil(n/m))).
+func mergePasses(n, m, fanIn int) int {
+	passes := 0
+	for width := m; width < n; width *= fanIn {
+		passes++
+	}
+	return passes
 }
 
 // carry streams the lone tail run src[lo:hi) to dst unchanged, in
@@ -272,27 +287,6 @@ func (s *sorter[T]) carry(ctx context.Context, src, dst Device[T], lo, hi int) e
 			return err
 		}
 		s.advance(len(c), "merge")
-	}
-	return nil
-}
-
-// copyBack streams the final n records from scratch back to the primary
-// device.
-func (s *sorter[T]) copyBack(ctx context.Context, src, dst Device[T], n int) error {
-	chunk := make([]T, min(s.cfg.MemoryRecords, n))
-	s.note(len(chunk))
-	for lo := 0; lo < n; lo += len(chunk) {
-		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("extsort: copy-back canceled: %w", err)
-		}
-		c := chunk[:min(len(chunk), n-lo)]
-		if err := src.Read(lo, c); err != nil {
-			return err
-		}
-		if err := dst.Write(lo, c); err != nil {
-			return err
-		}
-		s.advance(len(c), "copyback")
 	}
 	return nil
 }

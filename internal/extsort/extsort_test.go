@@ -158,8 +158,8 @@ func TestSortErrors(t *testing.T) {
 func TestSortIOBound(t *testing.T) {
 	// The external merge sort bound: run formation reads+writes everything
 	// once; each of ceil(log_F(ceil(N/M))) passes reads+writes everything
-	// once; plus the final copy-back when the pass count is odd, plus
-	// per-window block rounding slack.
+	// once; plus per-window block rounding slack. Run formation writes to
+	// the device the first pass reads, so no copy-back pass is needed.
 	rng := rand.New(rand.NewSource(151))
 	for trial := 0; trial < 20; trial++ {
 		n := 1000 + rng.Intn(20000)
@@ -188,7 +188,7 @@ func TestSortIOBound(t *testing.T) {
 		// rounds, each with fanIn refills plus one write, plus per-run
 		// tails.
 		slackPerPass := uint64(2 * (stats.FanIn + 2) * (n/window + 2*runs + 2))
-		totalPasses := uint64(passes + 1 + 1) // formation + passes + possible copy-back
+		totalPasses := uint64(passes + 1) // formation + passes
 		bound := 2 * totalPasses * (blocksN + slackPerPass)
 		if got := stats.BlockReads + stats.BlockWrites; got > bound {
 			t.Fatalf("n=%d m=%d block=%d: %d block transfers exceed bound %d",
@@ -380,5 +380,74 @@ func TestSortCancellation(t *testing.T) {
 	cancel2()
 	if _, err := Sort(ctx2, dev2, NewBlockDevice[int32](100, 16), 100, Config{MemoryRecords: 16}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-canceled: want context.Canceled, got %v", err)
+	}
+}
+
+// TestPlanFanIn pins the pass plan used when Config.FanIn is zero: the
+// fewest passes whose per-run window M/(3F) holds one block, then the
+// smallest fan-in that still reaches every run in that many passes.
+func TestPlanFanIn(t *testing.T) {
+	for _, c := range []struct {
+		n, m, block   int
+		fanIn, passes int
+	}{
+		{2 << 20, 64 << 10, 512, 32, 1},   // 32 runs, window 682 >= 512
+		{100 << 16, 64 << 10, 512, 10, 2}, // 100 runs > 42-way limit: 10x10
+		{2 << 20, 64 << 10, 64, 32, 1},    // a smaller block does not widen F past the runs
+		{200 << 16, 64 << 10, 64, 15, 2},  // 200 runs > DefaultFanIn
+		{1000, 60, 16, 2, 5},              // M < 6 blocks: binary merge tree
+		{1000, 1000, 16, 2, 0},            // one run: no merge
+		{0, 64, 4, 2, 0},
+		{2 << 20, 64 << 10, 0, 32, 1}, // a device reporting 0-record blocks plans as 1
+	} {
+		fanIn := planFanIn(c.n, c.m, c.block)
+		if passes := mergePasses(c.n, c.m, fanIn); fanIn != c.fanIn || passes != c.passes {
+			t.Errorf("plan(n=%d, M=%d, block=%d) = (F=%d, %d passes), want (%d, %d)",
+				c.n, c.m, c.block, fanIn, passes, c.fanIn, c.passes)
+		}
+	}
+}
+
+// TestSortOddPassesLandOnDev sorts file-backed data through one and
+// through three merge passes: run formation writes to scratch when the
+// pass count is odd, so the sorted result must still end on dev.
+func TestSortOddPassesLandOnDev(t *testing.T) {
+	const m, n = 1536, 8 * 1536
+	dir := t.TempDir()
+	data := differentialInputs["random"](rand.New(rand.NewSource(157)), n)
+	want := append([]int64(nil), data...)
+	psort.Sort(want, 2)
+	for _, c := range []struct{ fanIn, passes int }{{0, 1}, {2, 3}} {
+		dev, err := CreateFileDevice(filepath.Join(dir, "data.bin"), n, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := dev.Write(0, data); err != nil {
+			t.Fatal(err)
+		}
+		scratch, err := CreateFileDevice(filepath.Join(dir, "scratch.bin"), n, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stats, err := Sort[int64](bg, dev, scratch, n, Config{MemoryRecords: m, Workers: 2, FanIn: c.fanIn})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.MergePasses != c.passes {
+			t.Fatalf("fan-in %d: %d passes, want %d", c.fanIn, stats.MergePasses, c.passes)
+		}
+		got := make([]int64, n)
+		if err := dev.Read(0, got); err != nil {
+			t.Fatal(err)
+		}
+		if !verify.Equal(got, want) {
+			t.Fatalf("fan-in %d (%d passes): dev does not hold the sorted result", c.fanIn, c.passes)
+		}
+		if err := dev.Remove(); err != nil {
+			t.Fatal(err)
+		}
+		if err := scratch.Remove(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

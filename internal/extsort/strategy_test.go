@@ -58,7 +58,7 @@ func BenchmarkSortFanInStrategies(b *testing.B) {
 				dev.Load(data)
 				scratch := NewBlockDevice[int32](n, 1024)
 				b.StartTimer()
-				if _, err := Sort(bg, dev, scratch, n, Config{MemoryRecords: m, Workers: 2, KWay: strat}); err != nil {
+				if _, err := Sort(bg, dev, scratch, n, Config{MemoryRecords: m, Workers: 2, FanIn: 8, KWay: strat}); err != nil {
 					b.Fatal(err)
 				}
 			}

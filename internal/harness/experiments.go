@@ -286,8 +286,8 @@ func kwayLists(k, n int, skew string, seed int64) [][]int32 {
 	return lists
 }
 
-// KWay benches the three k-way merge strategies — sequential heap,
-// merge-path tree, co-ranking windows — across k and input skews, with
+// KWay benches the three k-way merge strategies — sequential loser
+// tree (flag spelling heap), merge-path tree, co-ranking windows — across k and input skews, with
 // the co-rank per-worker imbalance in the last column (extension
 // experiment; algorithms in docs/KWAY.md).
 func KWay(opt Options) *Table {

@@ -39,6 +39,6 @@ func ExternalSortIO(opt Options) *Table {
 		t.Addf(humanSize(n), humanSize(m), stats.Runs, stats.MergePasses, got, analytic,
 			float64(got)/float64(analytic))
 	}
-	t.Note = "ratio > 1 is block-rounding of buffered reads plus the copy-back pass when the pass count is odd; passes shrink with the k-way fan-in."
+	t.Note = "ratio > 1 is block-rounding of buffered reads; passes shrink with the k-way fan-in, which the engine plans so every run's merge window holds one block."
 	return t
 }

@@ -105,9 +105,6 @@ type Config struct {
 	// MemoryRecords is the per-job in-memory budget in records — the
 	// extsort M. Default 1<<20 (8 MiB of int64s).
 	MemoryRecords int
-	// FanIn is the merge-tree fan-in passed to extsort. Default
-	// extsort.DefaultFanIn.
-	FanIn int
 	// KWay is the in-window k-way merge strategy passed to extsort
 	// (docs/KWAY.md). The zero value (auto) picks per round.
 	KWay kway.Strategy
@@ -156,9 +153,6 @@ func (c Config) withDefaults() Config {
 	if c.MemoryRecords < extsort.MinMemoryRecords {
 		c.MemoryRecords = extsort.MinMemoryRecords
 	}
-	if c.FanIn <= 0 {
-		c.FanIn = extsort.DefaultFanIn
-	}
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
 	}
@@ -188,7 +182,7 @@ func (c Config) withDefaults() Config {
 
 // Span is one timed phase of a job's execution, reported in its View —
 // the job-level analogue of the request trace: queue_wait, copy_in,
-// run_formation, merge, copyback, total. Start is the offset from
+// run_formation, merge, total. Start is the offset from
 // submission.
 type Span struct {
 	// Name is the phase name.

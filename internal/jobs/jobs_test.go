@@ -498,3 +498,47 @@ func TestManagerClosed(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSortJobPlansFanIn runs a 32-run job through the manager, the path
+// the daemon serves, with no fan-in configured: the engine must plan a
+// single 32-way pass (every run's window M/96 still holds a block) and
+// the job must report it.
+func TestSortJobPlansFanIn(t *testing.T) {
+	const memory, runs = 3072, 32
+	m := newManager(t, Config{MemoryRecords: memory, BlockRecords: memory / 96, Workers: 2})
+	vals := randomVals(runs*memory, 3)
+	ds, err := m.CreateDataset(bytes.NewReader(encode(vals)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := m.Submit("sortfile", ds.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v = waitTerminal(t, m, v.ID)
+	if v.State != Done {
+		t.Fatalf("state %s, error %q", v.State, v.Error)
+	}
+	if st := v.Stats; st.Runs != runs || st.MergePasses != 1 || st.FanIn != runs || st.PeakBufferRecords > memory {
+		t.Fatalf("stats %+v: want %d runs merged in one %d-way pass within %d records", *st, runs, runs, memory)
+	}
+	for _, s := range v.Spans {
+		if s.Name != "queue_wait" && s.Name != "copy_in" && s.Name != "run_formation" && s.Name != "merge" && s.Name != "total" {
+			t.Fatalf("unexpected span %q", s.Name)
+		}
+	}
+	rc, _, err := m.OpenResult(v.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := io.ReadAll(rc)
+	rc.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := slices.Clone(vals)
+	slices.Sort(want)
+	if !slices.Equal(decode(raw), want) {
+		t.Fatal("result is not the sorted dataset")
+	}
+}

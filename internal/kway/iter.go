@@ -5,9 +5,9 @@ import "cmp"
 // Iter is a pull-based merged iterator over k sorted lists: the streaming
 // counterpart of Merge for consumers that process the merged sequence
 // incrementally (cursors over index runs, merge joins) and must not
-// materialize it. It uses a tournament (loser-tree-style) binary heap over
-// the list heads with the same cross-list tie rule as Merge/HeapMerge:
-// equal elements come out ordered by list index.
+// materialize it. It keeps a binary min-heap of list cursors with the
+// same cross-list tie rule as Merge/HeapMerge: equal elements come out
+// ordered by list index.
 type Iter[T cmp.Ordered] struct {
 	lists [][]T
 	heap  []cursor // binary min-heap of active list cursors

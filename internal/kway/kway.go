@@ -14,7 +14,13 @@
 //     element;
 //   - a binary tree of pairwise merge-path merges: every level fully
 //     parallel, O(N·log k) total data movement;
-//   - a sequential cursor-heap merge, the classic O(N·log k) baseline.
+//   - a sequential merge: one window spanning every run.
+//
+// Co-ranking and the sequential merge share one window kernel, a
+// tournament (loser) tree that replays each level without a
+// data-dependent branch and copies a leaf's whole run when it keeps
+// winning. HeapMerge, the container/heap merge, stays as the reference
+// every strategy is tested against.
 //
 // See docs/KWAY.md for the co-ranking invariants, the balance proof
 // sketch and strategy-selection guidance.

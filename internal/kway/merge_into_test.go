@@ -1,7 +1,9 @@
 package kway
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -57,4 +59,87 @@ func TestMergeIntoEdgeCases(t *testing.T) {
 		}
 	}()
 	MergeInto(make([]int64, 2), [][]int64{{1, 2}, {3}}, 1)
+}
+
+// strategies lists every concrete MergeIntoStats strategy.
+var strategies = []Strategy{StrategyHeap, StrategyTree, StrategyCoRank}
+
+// sameBits reports whether got and want hold the same float64 bit
+// patterns, so a -0 where +0 belongs is a mismatch.
+func sameBits(got, want []float64) bool {
+	if len(got) != len(want) {
+		return false
+	}
+	for i := range got {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestMergeIntoSignedZeroTies pins the cross-list tie order where it
+// is visible in the output bytes: -0 and +0 compare equal, so only
+// (value, list, position) order says which one comes first. Every k up
+// to 19 covers each non-power-of-two tree shape, where a leaf placed
+// out of list order would break a tie the wrong way.
+func TestMergeIntoSignedZeroTies(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	domain := []float64{-2, -1, math.Copysign(0, -1), 0, 1, 2}
+	for k := 2; k <= 19; k++ {
+		for trial := 0; trial < 8; trial++ {
+			lists := make([][]float64, k)
+			for i := range lists {
+				l := make([]float64, rng.Intn(40))
+				for j := range l {
+					l[j] = domain[rng.Intn(len(domain))]
+				}
+				sort.Float64s(l)
+				lists[i] = l
+			}
+			want := HeapMerge(lists)
+			for p := 1; p <= 3; p++ {
+				for _, strat := range strategies {
+					got, _ := MergeIntoStats(make([]float64, len(want)), lists, p, strat)
+					if !sameBits(got, want) {
+						t.Fatalf("k=%d p=%d %v: tie order differs from HeapMerge\n got %v\nwant %v", k, p, strat, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestMergeManyShortRuns merges 1<<16 one-element runs, where every
+// output element exhausts a leaf. A run running dry must cost an O(log k)
+// replay, not a tree rebuild: the leaves placed over all rebuilds are
+// pinned at 2k, where rebuilding per exhaustion would place ~k²/2.
+func TestMergeManyShortRuns(t *testing.T) {
+	const k = 1 << 16
+	rng := rand.New(rand.NewSource(5))
+	lists := make([][]int64, k)
+	for i := range lists {
+		lists[i] = []int64{rng.Int63n(1 << 10)}
+	}
+	want := HeapMerge(lists)
+
+	leaves := make([]leaf[int64], k)
+	for i, l := range lists {
+		leaves[i] = leaf[int64]{run: l}
+	}
+	got := make([]int64, k)
+	if built := mergeLeaves(got, leaves); built > 2*k {
+		t.Fatalf("placed %d leaves over all tree builds, want <= %d", built, 2*k)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatal("mergeLeaves output differs from HeapMerge")
+	}
+	for _, p := range []int{1, 2} {
+		for _, strat := range strategies {
+			got, _ := MergeIntoStats(make([]int64, k), lists, p, strat)
+			if !slices.Equal(got, want) {
+				t.Fatalf("p=%d %v: output differs from HeapMerge", p, strat)
+			}
+		}
+	}
 }

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"context"
 	"fmt"
+	"math/bits"
 
 	"mergepath/internal/core"
 )
@@ -17,22 +18,23 @@ type Strategy uint8
 
 const (
 	// StrategyAuto picks per call: the pairwise merge-path round for
-	// k <= 2, the sequential heap below coRankMinTotal elements or for
+	// k <= 2, the sequential merge below coRankMinTotal elements or for
 	// p == 1, and co-ranking otherwise.
 	StrategyAuto Strategy = iota
-	// StrategyHeap is the sequential cursor-heap merge: O(N·log k)
-	// comparisons, one pass, no parallelism — the classic baseline and
-	// the cheapest choice for small outputs.
+	// StrategyHeap is the sequential merge: one loser-tree tournament
+	// over all k runs, O(N·log k) comparisons, one pass, no parallelism —
+	// the cheapest choice for small outputs; "heap" is its flag
+	// spelling.
 	StrategyHeap
 	// StrategyTree is the binary tree of pairwise merge-path merges:
 	// every level is fully parallel but the data moves ceil(log2 k)
 	// times, so it pays O(N·log k) memory traffic.
 	StrategyTree
 	// StrategyCoRank cuts the k runs at p equal output ranks with
-	// CoRank and lets p workers each heap-merge a disjoint window
-	// lock-free: O(N·log k) comparisons but only O(N) data movement,
-	// in one pass, with per-worker loads balanced to within one
-	// element.
+	// CoRank and lets p workers each merge a disjoint window lock-free
+	// with the loser-tree kernel: O(N·log k) comparisons but only O(N)
+	// data movement, in one pass, with per-worker loads balanced to
+	// within one element.
 	StrategyCoRank
 )
 
@@ -93,14 +95,14 @@ type Stats struct {
 }
 
 // coRankMinTotal is the output size below which StrategyAuto prefers
-// the sequential heap: under a few thousand elements the goroutine
+// the sequential merge: under a few thousand elements the goroutine
 // hand-off and the p-1 co-rank searches cost more than the merge.
 const coRankMinTotal = 1 << 13
 
 // autoStrategy is the StrategyAuto decision: k <= 2 degenerates to the
 // paper's pairwise merge (the tree path runs exactly one parallel
 // merge-path round straight into dst), tiny or sequential merges take
-// the heap, everything else co-ranks.
+// the sequential tournament, everything else co-ranks.
 func autoStrategy(k, total, p int) Strategy {
 	switch {
 	case k <= 2:
@@ -139,7 +141,7 @@ func MergeIntoStats[T cmp.Ordered](dst []T, lists [][]T, p int, strat Strategy) 
 	default:
 		switch st.Strategy {
 		case StrategyHeap:
-			heapMergeInto(dst, lists)
+			seqMergeInto(dst, lists)
 		case StrategyTree:
 			st.Workers = p
 			treeMerge(dst, lists, p, func(pairs []core.Pair[T], p int) {
@@ -203,97 +205,199 @@ func coRankMergeInto[T cmp.Ordered](dst []T, lists [][]T, p int, st *Stats) {
 	}
 }
 
-// heapMergeInto is the sequential strategy writing into a caller buffer
-// (HeapMerge allocates; this path does not).
-func heapMergeInto[T cmp.Ordered](dst []T, lists [][]T) {
-	lo := make([]int, len(lists))
-	hi := make([]int, len(lists))
-	for i, l := range lists {
-		hi[i] = len(l)
+// seqMergeInto is the sequential strategy writing into a caller buffer
+// (HeapMerge allocates; this path does not): one tournament over the
+// whole of every run.
+func seqMergeInto[T cmp.Ordered](dst []T, lists [][]T) {
+	leaves := make([]leaf[T], 0, len(lists))
+	for _, l := range lists {
+		if len(l) > 0 {
+			leaves = append(leaves, leaf[T]{run: l})
+		}
 	}
-	mergeWindows(dst, lists, lo, hi)
+	mergeLeaves(dst, leaves)
 }
 
-// wcursor is one active run window inside a worker's merge: the head
-// value is cached in the node so sift comparisons touch only the heap
-// slice, not the run memory.
-type wcursor[T cmp.Ordered] struct {
-	head T
-	list int
-	pos  int
-	end  int
+// node is one internal node of the loser tree: the leaf that lost the
+// last match played there, with its head value cached so a replay
+// touches only the tree, never the run memory.
+type node[T cmp.Ordered] struct {
+	key  T
+	leaf int
+}
+
+// leaf is one non-empty window of a tournament: run ends at the
+// window's end and pos is the next unmerged index. at is the leaf's
+// heap node, set when the tree is built.
+type leaf[T cmp.Ordered] struct {
+	run []T
+	pos int
+	at  int
 }
 
 // mergeWindows merges lists[i][lo[i]:hi[i]] for every i into out (whose
-// length must equal the combined window length) with a cursor min-heap
-// ordered by (value, list index) — the package's stability contract.
-// This is each co-rank worker's inner loop: one pass, every element
-// moves exactly once.
+// length must equal the combined window length) in (value, list index)
+// order, the package's stability contract. This is each co-rank
+// worker's inner loop: one pass, every element moves exactly once.
 func mergeWindows[T cmp.Ordered](out []T, lists [][]T, lo, hi []int) {
-	h := make([]wcursor[T], 0, len(lists))
-	for i := range lists {
+	leaves := make([]leaf[T], 0, len(lists))
+	for i, l := range lists {
 		if lo[i] < hi[i] {
-			h = append(h, wcursor[T]{head: lists[i][lo[i]], list: i, pos: lo[i], end: hi[i]})
+			leaves = append(leaves, leaf[T]{run: l[:hi[i]], pos: lo[i]})
 		}
 	}
-	switch len(h) {
-	case 0:
-		return
-	case 1:
-		c := h[0]
-		copy(out, lists[c.list][c.pos:c.end])
-		return
-	}
-	// Cursors were appended in list order; heapify from the last
-	// parent. The (value, list) order makes ties pop lowest list first.
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		siftWindow(h, i)
-	}
-	for n := 0; ; n++ {
-		top := &h[0]
-		out[n] = top.head
-		if top.pos+1 < top.end {
-			top.pos++
-			top.head = lists[top.list][top.pos]
-		} else {
-			last := len(h) - 1
-			h[0] = h[last]
-			h = h[:last]
-			if last == 1 {
-				// One run left: drain it with a straight copy.
-				c := h[0]
-				copy(out[n+1:], lists[c.list][c.pos:c.end])
-				return
+	mergeLeaves(out, leaves)
+}
+
+// mergeLeaves merges the non-empty windows in leaves, given in list
+// order, into out. They become the leaves of a tournament (loser) tree.
+// A leaf that runs dry stays in the tree as a dead leaf (tournament), so
+// it costs one O(log k) replay; once half the leaves are dead the live
+// ones are compacted and the tree is rebuilt, O(k) amortized over the
+// k/2 exhaustions that led to it. It returns the number of leaves
+// placed over all tree builds, at most 2·len(leaves).
+func mergeLeaves[T cmp.Ordered](out []T, leaves []leaf[T]) (built int) {
+	tree := make([]node[T], len(leaves))
+	win := make([]int, 2*len(leaves))
+	o := 0
+	for len(leaves) > 1 {
+		built += len(leaves)
+		o = tournament(out, o, leaves, tree, win)
+		live := leaves[:0]
+		for _, lf := range leaves {
+			if lf.pos < len(lf.run) {
+				live = append(live, lf)
 			}
 		}
-		siftWindow(h, 0)
+		leaves = live
 	}
+	if len(leaves) == 1 {
+		copy(out[o:], leaves[0].run[leaves[0].pos:])
+	}
+	return built
 }
 
-// siftWindow restores the min-heap order at index i, comparing by
-// cached head value then list index.
-func siftWindow[T cmp.Ordered](h []wcursor[T], i int) {
+// tournament builds a loser tree over leaves (at least two) and merges
+// from out[o] on until at most half of them are live; it returns the
+// next output index. tree and win are scratch of at least len(leaves)
+// and 2·len(leaves) entries.
+//
+// Leaf i sits at its in-order (left-to-right) position in the heap
+// layout, so every leaf of a node's left subtree has a lower list index
+// than every leaf of its right subtree. A tie at a node then goes to
+// the left side, and a replay decides it from the side it climbed
+// from, with no index comparison. Each replay level picks winner and
+// loser with an integer mask and one conditional move and stores
+// unconditionally: no data-dependent branch.
+//
+// A leaf that runs dry replays with key top, the largest last element
+// of any run, and keeps its place in the tie order. No live head
+// exceeds top, so a dead leaf wins only when every live head equals
+// top, and then so does every element left; the rest of the output is
+// the live runs in list order. No sentinel value is needed, so any
+// cmp.Ordered T works.
+func tournament[T cmp.Ordered](out []T, o int, leaves []leaf[T], tree []node[T], win []int) int {
+	k := len(leaves)
+	// Heap nodes 1..2k-1; leaves are nodes k..2k-1. The deepest level
+	// (from node deep) holds the leftmost leaves, the leaves one level
+	// up (k..deep-1) follow them.
+	deep := 1 << (bits.Len(uint(2*k-1)) - 1)
+	top := leaves[0].run[len(leaves[0].run)-1]
+	for i := range leaves {
+		n := deep + i
+		if n >= 2*k {
+			n -= k
+		}
+		leaves[i].at = n
+		win[n] = i // win[n] is the winner of the subtree at node n
+		// cmp.Less, unlike max, never lets a NaN displace a number.
+		if last := leaves[i].run[len(leaves[i].run)-1]; cmp.Less(top, last) {
+			top = last
+		}
+	}
+	head := func(i int) T { return leaves[i].run[leaves[i].pos] }
+	for n := k - 1; n >= 1; n-- {
+		l, r := win[2*n], win[2*n+1]
+		if head(r) < head(l) {
+			l, r = r, l
+		}
+		win[n] = l
+		tree[n] = node[T]{key: head(r), leaf: r}
+	}
+	w := win[1]
+	wk := head(w)
+	prev := -1
+	live := k
 	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < len(h) && cursorLess(h[l], h[smallest]) {
-			smallest = l
+		lf := &leaves[w]
+		run := lf.run
+		if lf.pos == len(run) {
+			// A dead leaf won.
+			for i := range leaves {
+				o += copy(out[o:], leaves[i].run[leaves[i].pos:])
+				leaves[i].pos = len(leaves[i].run)
+			}
+			return o
 		}
-		if r < len(h) && cursorLess(h[r], h[smallest]) {
-			smallest = r
+		out[o] = wk
+		o++
+		p := lf.pos + 1
+		if w == prev && p < len(run) {
+			// The same leaf won twice running: copy the rest of its run
+			// that precedes the runner-up, the best loser on its path.
+			n := lf.at >> 1
+			r, rk := tree[n].leaf, tree[n].key
+			for n >>= 1; n >= 1; n >>= 1 {
+				if c := tree[n]; c.key < rk || c.key == rk && c.leaf < r {
+					r, rk = c.leaf, c.key
+				}
+			}
+			e := p
+			if w < r {
+				for e < len(run) && run[e] <= rk {
+					e++
+				}
+			} else {
+				for e < len(run) && run[e] < rk {
+					e++
+				}
+			}
+			o += copy(out[o:], run[p:e])
+			p = e
 		}
-		if smallest == i {
-			return
+		lf.pos = p
+		if p < len(run) {
+			wk = run[p]
+		} else {
+			if live--; 2*live <= k {
+				return o
+			}
+			wk = top
 		}
-		h[i], h[smallest] = h[smallest], h[i]
-		i = smallest
+		prev = w
+		for n := lf.at; n > 1; n >>= 1 {
+			nd := &tree[n>>1]
+			lk, ll := nd.key, nd.leaf
+			// The stored loser beats the climber if it is smaller, or
+			// equal and the climber came up from the right (n odd).
+			m := -(b2i(lk < wk) | b2i(lk == wk)&n)
+			nk := lk
+			if m != 0 {
+				nk, wk = wk, lk
+			}
+			d := (w ^ ll) & m
+			nd.key, nd.leaf = nk, ll^d
+			w ^= d
+		}
 	}
 }
 
-// cursorLess orders cursors by head value, then source-list index.
-func cursorLess[T cmp.Ordered](x, y wcursor[T]) bool {
-	if x.head != y.head {
-		return x.head < y.head
+// b2i is 1 for true and 0 for false; the compiler emits it as a flag
+// set, not a branch.
+func b2i(b bool) int {
+	var i int
+	if b {
+		i = 1
 	}
-	return x.list < y.list
+	return i
 }

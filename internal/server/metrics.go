@@ -303,7 +303,8 @@ type KWaySnapshot struct {
 	// Strategy is the configured -kway-strategy knob; "auto" resolves
 	// per call by k and output size.
 	Strategy string `json:"strategy"`
-	// MergesHeap counts k-way rounds executed with the sequential heap.
+	// MergesHeap counts k-way rounds executed with the sequential
+	// strategy (flag spelling heap).
 	MergesHeap uint64 `json:"merges_heap"`
 	// MergesTree counts rounds executed with the pairwise merge tree.
 	MergesTree uint64 `json:"merges_tree"`

@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race verify cover bench bench-kway experiments fmt serve loadtest loadtest-wire chaos soak lint-docs fuzz-wire fuzz-sort fuzz-kway kway-diff cluster cluster-quick jobs-soak jobs-soak-quick restart-quick restart-soak corrupt-check
+.PHONY: all build vet fmt-check test race verify cover bench bench-kway experiments fmt serve loadtest loadtest-wire chaos soak lint-docs fuzz-wire fuzz-sort fuzz-kway kway-diff cluster cluster-quick jobs-soak jobs-soak-quick restart-quick restart-soak corrupt-check
 
 all: build vet test
 
@@ -11,6 +11,10 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# Formatting gate: fails listing every file gofmt would rewrite.
+fmt-check:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -31,7 +35,7 @@ lint-docs:
 		./internal/jobs ./internal/extsort ./internal/wire \
 		./internal/kway ./internal/fault ./cmd/mergerouter
 
-# Quick k-way differential: every strategy (heap, tree, co-rank) must be
+# Quick k-way differential: every strategy (auto, heap, co-rank) must be
 # byte-identical to the HeapMerge baseline across k x sizes x
 # duplicate densities, and the co-rank cuts must satisfy their
 # invariants (sum to rank, pairwise order, monotone windows). See
@@ -60,11 +64,12 @@ fuzz-sort:
 fuzz-kway:
 	$(GO) test -run FuzzMergeInto -fuzz FuzzMergeInto -fuzztime 10s ./internal/kway
 
-# Full pre-merge gate: build, vet, unit tests, godoc audit, race suite
-# (which includes the fault-injection lifecycle tests in internal/server
-# and internal/fault), short fuzz passes over the wire decoder, the
-# psort radix leaf and the k-way merged output, a chaos pass against a live in-process daemon,
-# the in-process cluster soak (3 backends + router, one backend
+# Full pre-merge gate: build, vet, the gofmt check (fmt-check), unit
+# tests, godoc audit, race suite (which includes the fault-injection
+# lifecycle tests in internal/server and internal/fault), short fuzz
+# passes over the wire decoder, the psort radix leaf and the k-way
+# merged output, a chaos pass against a live in-process daemon, the
+# in-process cluster soak (3 backends + router, one backend
 # faulted, under -race), the quick jobs soak (concurrent submits +
 # cancels + GC under fault injection, -race), and the quick in-process
 # restart-recovery drill (journal replay, orphan GC, corruption
@@ -72,7 +77,7 @@ fuzz-kway:
 # (`make soak`); the multi-process cluster is `make cluster`; the
 # extended jobs soak is `make jobs-soak`; the real SIGKILL restart soak
 # is `make restart-soak`.
-verify: build vet test lint-docs kway-diff race fuzz-wire fuzz-sort fuzz-kway chaos cluster-quick jobs-soak-quick restart-quick
+verify: build vet fmt-check test lint-docs kway-diff race fuzz-wire fuzz-sort fuzz-kway chaos cluster-quick jobs-soak-quick restart-quick
 
 cover:
 	$(GO) test -cover ./...
@@ -80,14 +85,11 @@ cover:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# K-way strategy comparison (heap vs tree vs co-rank at k=4/16/64 over a
-# fixed 1M-element output), the int64 window kernel in ns/elem at the
-# served shapes, the co-rank partitioner in isolation and the
-# external-sort fan-in delta.
+# K-way strategy comparison (heap vs co-rank at k=4/16/64 over a fixed
+# 1M-element output), the int64 window kernel in ns/elem at the served
+# shapes and the co-rank partitioner in isolation.
 bench-kway:
 	$(GO) test -bench 'BenchmarkKWayStrategies|BenchmarkKWayKernel|BenchmarkCoRankSearch' -benchmem ./internal/kway
-	$(GO) test -bench BenchmarkGatherStrategies -benchmem -run xxx ./internal/router
-	$(GO) test -bench BenchmarkSortFanInStrategies -benchmem ./internal/extsort
 
 # Regenerate every table of EXPERIMENTS.md (laptop-scale sizes).
 experiments:

@@ -191,15 +191,15 @@ func BenchmarkBitonicSort(b *testing.B) {
 	})
 }
 
-// BenchmarkKWay regenerates the extension experiment: tree-of-merge-paths
-// vs heap merge over 16 runs.
+// BenchmarkKWay regenerates the extension experiment: kway.Merge (auto,
+// co-ranking at this size) vs the heap merge over 16 runs.
 func BenchmarkKWay(b *testing.B) {
 	const k, runLen = 16, 1 << 16
 	lists := make([][]int32, k)
 	for i := range lists {
 		lists[i], _ = workload.Pair(workload.Uniform, runLen, 0, int64(i))
 	}
-	b.Run("tree-p4", func(b *testing.B) {
+	b.Run("merge-p4", func(b *testing.B) {
 		b.SetBytes(int64(k*runLen) * 4)
 		for i := 0; i < b.N; i++ {
 			kway.Merge(lists, 4)

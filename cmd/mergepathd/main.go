@@ -39,7 +39,6 @@ import (
 
 	"mergepath/internal/fault"
 	"mergepath/internal/jobs"
-	"mergepath/internal/kway"
 	"mergepath/internal/overload"
 	"mergepath/internal/server"
 )
@@ -70,15 +69,9 @@ func main() {
 		jobTTL         = flag.Duration("job-ttl", 10*time.Minute, "TTL for finished job state/results and idle datasets")
 		journal        = flag.Bool("journal", true, "write-ahead manifest journal under -spill-dir for crash recovery (ignored without -spill-dir; docs/DURABILITY.md)")
 		fsyncPolicy    = flag.String("fsync-policy", "state", "when to fsync journal and spill files: always, state or never (docs/DURABILITY.md)")
-
-		kwayStrategy = flag.String("kway-strategy", "auto", "k-way merge strategy for /v1/mergek and job fan-in: auto, heap, tree or corank (docs/KWAY.md)")
 	)
 	flag.Parse()
 
-	kstrat, err := kway.ParseStrategy(*kwayStrategy)
-	if err != nil {
-		log.Fatalf("-kway-strategy: %v", err)
-	}
 	fsync, err := jobs.ParseFsyncPolicy(*fsyncPolicy)
 	if err != nil {
 		log.Fatalf("-fsync-policy: %v", err)
@@ -105,17 +98,15 @@ func main() {
 			Target:   *overloadTarget,
 			Interval: *overloadInterval,
 		},
-		StrictInput:  *strictInput,
-		Fault:        inj,
-		AccessLog:    *accessLog,
-		KWayStrategy: kstrat,
+		StrictInput: *strictInput,
+		Fault:       inj,
+		AccessLog:   *accessLog,
 		Jobs: jobs.Config{
 			Dir:            *spillDir,
 			MemoryRecords:  *jobMemory,
 			MaxConcurrent:  *jobConcurrency,
 			MaxQueued:      *jobQueue,
 			TTL:            *jobTTL,
-			KWay:           kstrat,
 			DisableJournal: !*journal,
 			Fsync:          fsync,
 		},

@@ -3,8 +3,8 @@
 // requests are routed whole with rendezvous hashing plus least-loaded
 // selection over each backend's polled /healthz state; large merges are
 // split with the paper's diagonal co-ranking cut, served by independent
-// backends, and recombined into a response byte-identical to a single
-// node's. Each backend is driven through its own resilient client
+// backends, and each result copied into its slice of a response
+// byte-identical to a single node's. Each backend is driven through its own resilient client
 // (retries, retry budget, Retry-After, per-endpoint circuit breakers),
 // so one faulty or browned-out node diverts traffic instead of failing
 // requests.
@@ -38,7 +38,6 @@ import (
 	"syscall"
 	"time"
 
-	"mergepath/internal/kway"
 	"mergepath/internal/resilience"
 	"mergepath/internal/router"
 )
@@ -56,14 +55,8 @@ func main() {
 		hedge     = flag.Duration("hedge-after", 0, "duplicate a slow backend request after this delay (0 = off)")
 		drainFor  = flag.Duration("drain-timeout", 10*time.Second, "graceful shutdown budget")
 		accessLog = flag.Bool("access-log", false, "log one structured line per request with its ID and per-stage span timings")
-		gather    = flag.String("gather-strategy", "auto", "scatter-gather recombination strategy: auto, heap, tree or corank (docs/KWAY.md)")
 	)
 	flag.Parse()
-
-	gstrat, err := kway.ParseStrategy(*gather)
-	if err != nil {
-		log.Fatalf("-gather-strategy: %v", err)
-	}
 
 	var urls []string
 	for _, u := range strings.Split(*backends, ",") {
@@ -80,7 +73,6 @@ func main() {
 		HealthInterval:   *interval,
 		ScatterThreshold: *threshold,
 		MaxScatter:       *maxScat,
-		GatherStrategy:   gstrat,
 		MaxBodyBytes:     *maxBody,
 		RequestTimeout:   *timeout,
 		Resilience: resilience.Config{

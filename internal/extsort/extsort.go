@@ -47,11 +47,6 @@ type Config struct {
 	// and phase names the current phase ("run_formation" or "merge").
 	// Called from the sorting goroutine; keep it cheap.
 	Progress func(done, total int64, phase string)
-	// KWay selects the in-window k-way merge strategy used by the fan-in
-	// phase: kway.StrategyAuto (the zero value) picks per round by run
-	// count and window size, the rest force heap, tree or corank (see
-	// docs/KWAY.md). Output bytes are identical for every choice.
-	KWay kway.Strategy
 }
 
 // Stats reports what an external sort did.
@@ -77,7 +72,7 @@ type Stats struct {
 	// KWayImbalanceMax is the worst per-worker window imbalance ratio of
 	// any co-rank in-window merge this sort ran (the k-way Theorem 5
 	// check; ~1.0 by construction). Zero when no co-rank round ran —
-	// the heap or tree strategies report no per-worker loads.
+	// the sequential merge reports no per-worker loads.
 	KWayImbalanceMax float64 `json:"kway_imbalance_max,omitempty"`
 }
 
@@ -304,8 +299,8 @@ type runCursor[T any] struct {
 // is decidable (the smallest last-buffered record among runs with data
 // still on the device), cuts every window at that bound, and k-way merges
 // the cut prefixes (internal/kway) straight into the output buffer.
-// Memory: fanIn windows plus the output buffer plus kway's internal
-// scratch, all within MemoryRecords by construction of s.window.
+// Memory: fanIn windows plus the output buffer, within MemoryRecords by
+// construction of s.window.
 func (s *sorter[T]) mergeGroup(ctx context.Context, src, dst Device[T], spans [][2]int) error {
 	w := s.window
 	cursors := make([]*runCursor[T], len(spans))
@@ -314,13 +309,9 @@ func (s *sorter[T]) mergeGroup(ctx context.Context, src, dst Device[T], spans []
 	}
 	outLo, outHi := spans[0][0], spans[len(spans)-1][1]
 	outBuf := make([]T, 0, len(spans)*w)
-	// Peak: input windows + output + kway's intermediate scratch (one
-	// output-sized array per live tree level; at most one extra alive).
-	kwayScratch := 0
-	if len(spans) > 2 {
-		kwayScratch = cap(outBuf)
-	}
-	s.note(len(spans)*w + cap(outBuf) + kwayScratch)
+	// Peak: input windows + output. The in-window k-way merge writes
+	// straight into outBuf, so the last third of M stays unallocated.
+	s.note(len(spans)*w + cap(outBuf))
 
 	outPos := outLo
 	prefixes := make([][]T, 0, len(cursors))
@@ -370,7 +361,7 @@ func (s *sorter[T]) mergeGroup(ctx context.Context, src, dst Device[T], spans []
 		// At least the bound-attaining run's whole window is emitted, so
 		// every round makes progress.
 		out := outBuf[:steps]
-		_, st := kway.MergeIntoStats(out, prefixes, s.workers, s.cfg.KWay)
+		_, st := kway.MergeIntoStats(out, prefixes, s.workers, kway.StrategyAuto)
 		if st.Imbalance > s.kwayImb {
 			s.kwayImb = st.Imbalance
 		}

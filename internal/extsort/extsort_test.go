@@ -451,3 +451,27 @@ func TestSortOddPassesLandOnDev(t *testing.T) {
 		}
 	}
 }
+
+// TestSortKWayImbalance: merge rounds of a few runs at a wide budget
+// emit well over the co-rank threshold, so the auto in-window merge
+// co-ranks and Stats reports its window balance (~1.0, the k-way
+// Theorem 5 check).
+func TestSortKWayImbalance(t *testing.T) {
+	const n, m = 1 << 18, 1 << 16 // 4 runs, one 4-way pass
+	rng := rand.New(rand.NewSource(160))
+	for trial := 0; trial < 3; trial++ {
+		data := workload.Unsorted(rng, n)
+		dev := NewBlockDevice[int32](n, 16)
+		dev.Load(data)
+		stats := sortMem(t, dev, n, Config{MemoryRecords: m, Workers: 2})
+		if got := dev.Snapshot(n); !verify.Sorted(got) || !verify.SameMultiset(got, data) {
+			t.Fatalf("trial %d: output is not the sorted input", trial)
+		}
+		if stats.MergePasses != 1 || stats.FanIn != 4 {
+			t.Fatalf("trial %d: %d passes at fan-in %d, want 1 at 4", trial, stats.MergePasses, stats.FanIn)
+		}
+		if stats.KWayImbalanceMax <= 0 || stats.KWayImbalanceMax > 1.5 {
+			t.Fatalf("trial %d: k-way imbalance %.3f, want in (0, 1.5]", trial, stats.KWayImbalanceMax)
+		}
+	}
+}

@@ -286,13 +286,13 @@ func kwayLists(k, n int, skew string, seed int64) [][]int32 {
 	return lists
 }
 
-// KWay benches the three k-way merge strategies — sequential loser
-// tree (flag spelling heap), merge-path tree, co-ranking windows — across k and input skews, with
+// KWay benches the two k-way merge strategies — sequential loser tree
+// (named heap) and co-ranking windows — across k and input skews, with
 // the co-rank per-worker imbalance in the last column (extension
 // experiment; algorithms in docs/KWAY.md).
 func KWay(opt Options) *Table {
-	t := NewTable("Extension — k-way merge strategies: heap vs tree vs co-rank",
-		"k", "skew", "p", "heap", "tree", "corank", "corank-vs-heap", "imbalance")
+	t := NewTable("Extension — k-way merge strategies: heap vs co-rank",
+		"k", "skew", "p", "heap", "corank", "corank-vs-heap", "imbalance")
 	n := opt.Sizes[0]
 	for _, k := range []int{4, 16, 64} {
 		for _, skew := range []string{"uniform", "dups", "presorted", "onelong"} {
@@ -306,14 +306,11 @@ func KWay(opt Options) *Table {
 				kway.MergeIntoStats(dst, lists, 1, kway.StrategyHeap)
 			}).Median()
 			for _, p := range []int{1, 4} {
-				tree := stats.Measure(opt.Warmup, opt.Reps, func() {
-					kway.MergeIntoStats(dst, lists, p, kway.StrategyTree)
-				}).Median()
 				var st kway.Stats
 				corank := stats.Measure(opt.Warmup, opt.Reps, func() {
 					_, st = kway.MergeIntoStats(dst, lists, p, kway.StrategyCoRank)
 				}).Median()
-				t.Addf(k, skew, p, heapTime.String(), tree.String(), corank.String(),
+				t.Addf(k, skew, p, heapTime.String(), corank.String(),
 					stats.Speedup(heapTime, corank), fmt.Sprintf("%.3f", st.Imbalance))
 			}
 		}

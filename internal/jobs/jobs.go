@@ -33,7 +33,6 @@ import (
 
 	"mergepath/internal/extsort"
 	"mergepath/internal/fault"
-	"mergepath/internal/kway"
 )
 
 // Lifecycle and admission errors, mapped to HTTP statuses by the server.
@@ -105,9 +104,6 @@ type Config struct {
 	// MemoryRecords is the per-job in-memory budget in records — the
 	// extsort M. Default 1<<20 (8 MiB of int64s).
 	MemoryRecords int
-	// KWay is the in-window k-way merge strategy passed to extsort
-	// (docs/KWAY.md). The zero value (auto) picks per round.
-	KWay kway.Strategy
 	// Workers is the in-memory parallelism of each job's sort phases.
 	// Default GOMAXPROCS.
 	Workers int
@@ -567,13 +563,17 @@ func (m *Manager) Submit(typ, datasetID string) (View, error) {
 	// The job holds its dataset until it reaches a terminal state: the
 	// refcount is what makes DELETE /v1/datasets safe mid-sort.
 	ds.refs++
+	// Build the 202 view before unlocking: a worker may pick the job up
+	// the moment the lock is released, and the caller must see it
+	// pending.
+	v := m.viewLocked(j)
 	m.mu.Unlock()
 	m.submitted.Add(1)
 	m.jnl.append(record{T: recAccepted, ID: j.id, JobType: typ, Dataset: datasetID, Records: j.records})
 	if h := m.cfg.Hooks.Enqueue; h != nil {
 		h(j.records)
 	}
-	return m.view(j), nil
+	return v, nil
 }
 
 // Get returns a job's current view.
@@ -694,6 +694,12 @@ func (m *Manager) releaseResult(j *job) {
 // view assembles a View from a job (takes the manager lock).
 func (m *Manager) view(j *job) View {
 	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.viewLocked(j)
+}
+
+// viewLocked is view for callers that hold m.mu.
+func (m *Manager) viewLocked(j *job) View {
 	v := View{
 		ID:          j.id,
 		Type:        j.typ,
@@ -708,7 +714,6 @@ func (m *Manager) view(j *job) View {
 		Stats:       j.stats,
 		ResultBytes: j.resultBytes,
 	}
-	m.mu.Unlock()
 	v.Progress = mathFloat(j.progress.Load())
 	if v.State == Done || v.State == Expired {
 		v.Progress = 1

@@ -201,7 +201,6 @@ func (m *Manager) execute(j *job, resultPath, scratchPath string) error {
 	stats, err := extsort.Sort[int64](j.ctx, dev, scratch, j.records, extsort.Config{
 		MemoryRecords: m.cfg.MemoryRecords,
 		Workers:       m.cfg.Workers,
-		KWay:          m.cfg.KWay,
 		Progress: func(done, total int64, phase string) {
 			if phase != curPhase {
 				now := time.Now()

@@ -44,7 +44,7 @@ func genLists(rng *rand.Rand, k, maxLen int, domain int32) [][]int32 {
 // runs.
 func TestMergeIntoMatchesHeap(t *testing.T) {
 	rng := rand.New(rand.NewSource(200))
-	strategies := []Strategy{StrategyAuto, StrategyHeap, StrategyTree, StrategyCoRank}
+	strategies := []Strategy{StrategyAuto, StrategyHeap, StrategyCoRank}
 	for _, k := range []int{1, 2, 3, 4, 7, 16, 33, 64} {
 		for _, domain := range []int32{0, 3, 50} {
 			for trial := 0; trial < 6; trial++ {
@@ -256,23 +256,35 @@ func TestCoRankFuncMatchesOrdered(t *testing.T) {
 
 // TestMergeCoRankStats: per-worker loads must sum to the total and be
 // balanced to within one element (imbalance ~1.0), extending the
-// Theorem 5 validation from 2-way to k-way.
+// Theorem 5 validation from 2-way to k-way. Every fifth trial merges
+// two runs, which co-rank as one merge-path round.
 func TestMergeCoRankStats(t *testing.T) {
 	rng := rand.New(rand.NewSource(205))
 	for trial := 0; trial < 25; trial++ {
-		lists := genLists(rng, 3+rng.Intn(14), 500, 0)
+		k := 3 + rng.Intn(14)
+		if trial%5 == 0 {
+			k = 2
+		}
+		lists := genLists(rng, k, 500, 0)
 		total := 0
 		for _, l := range lists {
 			total += len(l)
 		}
 		p := 1 + rng.Intn(8)
+		strat := StrategyCoRank
+		if trial%10 == 0 {
+			strat = StrategyAuto
+		}
 		dst := make([]int32, total)
-		got, st := MergeIntoStats(dst, lists, p, StrategyCoRank)
+		got, st := MergeIntoStats(dst, lists, p, strat)
 		if !verify.Equal(got, HeapMerge(lists)) {
 			t.Fatal("co-rank merge differs from heap baseline")
 		}
 		if st.Strategy != StrategyCoRank {
-			t.Fatalf("strategy %v", st.Strategy)
+			t.Fatalf("k=%d %v: strategy %v", k, strat, st.Strategy)
+		}
+		if len(st.PerWorker) != min(p, total) {
+			t.Fatalf("k=%d: %d per-worker loads, want %d", k, len(st.PerWorker), min(p, total))
 		}
 		sum := 0
 		for _, n := range st.PerWorker {
@@ -295,26 +307,10 @@ func TestMergeCoRankStats(t *testing.T) {
 	}
 }
 
-func TestStrategyParseAndString(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want Strategy
-	}{
-		{"", StrategyAuto}, {"auto", StrategyAuto}, {"heap", StrategyHeap},
-		{"tree", StrategyTree}, {"corank", StrategyCoRank},
-	} {
-		got, err := ParseStrategy(tc.in)
-		if err != nil || got != tc.want {
-			t.Fatalf("ParseStrategy(%q) = %v, %v", tc.in, got, err)
-		}
-	}
-	if _, err := ParseStrategy("loser-tree"); err == nil {
-		t.Fatal("expected error for unknown strategy")
-	}
-	for _, s := range []Strategy{StrategyHeap, StrategyTree, StrategyCoRank} {
-		rt, err := ParseStrategy(s.String())
-		if err != nil || rt != s {
-			t.Fatalf("round-trip %v: %v, %v", s, rt, err)
+func TestStrategyString(t *testing.T) {
+	for s, want := range map[Strategy]string{StrategyAuto: "auto", StrategyHeap: "heap", StrategyCoRank: "corank"} {
+		if got := s.String(); got != want {
+			t.Fatalf("%d.String() = %q, want %q", s, got, want)
 		}
 	}
 }
@@ -325,6 +321,14 @@ func TestMergeIntoStatsEdges(t *testing.T) {
 	out, st := MergeIntoStats([]int32{}, nil, 4, StrategyCoRank)
 	if len(out) != 0 || st.K != 0 {
 		t.Fatalf("nil lists: %v %+v", out, st)
+	}
+	// Two empty runs clamp the worker count to zero; the merge-path
+	// round must not be asked for zero workers.
+	for _, strat := range []Strategy{StrategyAuto, StrategyCoRank} {
+		out, st = MergeIntoStats([]int32{}, [][]int32{{}, {}}, 4, strat)
+		if len(out) != 0 || st.K != 2 || st.Workers != 0 || st.PerWorker != nil {
+			t.Fatalf("%v, two empty lists: %v %+v", strat, out, st)
+		}
 	}
 	dst := make([]int32, 3)
 	out, _ = MergeIntoStats(dst, [][]int32{{3, 1, 2}}, 4, StrategyCoRank)

@@ -2,7 +2,7 @@
 // "later rounds" structure of merge sort that motivates the paper's
 // introduction, packaged as a standalone utility (merging sorted runs
 // from k producers: log-structured storage compactions, sharded log
-// replay, external sort phases). Three strategies share one stability
+// replay, external sort phases). Two strategies share one stability
 // contract (equal elements ordered by source-list index, then
 // position) and produce byte-identical output:
 //
@@ -11,16 +11,16 @@
 //     generalization of the paper's Theorem 5 two-array partition — so
 //     p workers each merge a disjoint window lock-free in a single
 //     pass: O(N) data movement, per-worker loads balanced to within one
-//     element;
-//   - a binary tree of pairwise merge-path merges: every level fully
-//     parallel, O(N·log k) total data movement;
+//     element. Two runs are exactly the paper's merge, one merge-path
+//     round;
 //   - a sequential merge: one window spanning every run.
 //
-// Co-ranking and the sequential merge share one window kernel, a
-// tournament (loser) tree that replays each level without a
-// data-dependent branch and copies a leaf's whole run when it keeps
-// winning. HeapMerge, the container/heap merge, stays as the reference
-// every strategy is tested against.
+// Both share one window kernel, a tournament (loser) tree that replays
+// each level without a data-dependent branch and copies a leaf's whole
+// run when it keeps winning. HeapMerge, the container/heap merge, stays
+// as the reference every strategy is tested against. MergeFunc, for
+// orderings given as a less function, runs a binary tree of merge-path
+// rounds instead.
 //
 // See docs/KWAY.md for the co-ranking invariants, the balance proof
 // sketch and strategy-selection guidance.
@@ -55,12 +55,11 @@ func Merge[T cmp.Ordered](lists [][]T, p int) []T {
 
 // MergeInto is Merge writing its result into a caller-supplied buffer:
 // dst must have len >= the total element count of lists, and the merged
-// output is returned as dst[:total]. All strategies write the final
-// merge straight into dst, so a caller that already owns the response
-// buffer (the mergerouter gather stage, pooled arenas) never pays a
-// full-size allocation+copy; the tree strategy keeps a single flip-flop
-// scratch buffer across its intermediate rounds. Lists are never
-// modified. dst must not alias any input list.
+// output is returned as dst[:total]. Every strategy writes the merge
+// straight into dst, so a caller that already owns the response buffer
+// (pooled arenas, the external sort's output block) never pays a
+// full-size allocation+copy. Lists are never modified. dst must not
+// alias any input list.
 //
 // MergeInto runs StrategyAuto; use MergeIntoStats to pin a strategy or
 // observe per-worker load stats.
@@ -77,7 +76,7 @@ func MergeInto[T cmp.Ordered](dst []T, lists [][]T, p int) []T {
 // an odd run is carried as a pair with an empty B. A pair's first input
 // is always the lower-indexed subtree, which is what preserves the
 // cross-list tie rule through the tree.
-func treeMerge[T any](dst []T, lists [][]T, p int, round func(pairs []core.Pair[T], p int)) {
+func treeMerge[T any](dst []T, lists [][]T, p int, less func(x, y T) bool) {
 	runs := append(make([][]T, 0, len(lists)), lists...)
 	rounds := 0
 	for n := len(runs); n > 1; n = (n + 1) / 2 {
@@ -104,7 +103,7 @@ func treeMerge[T any](dst []T, lists [][]T, p int, round func(pairs []core.Pair[
 			offset += len(out)
 			pairs = append(pairs, core.Pair[T]{A: a, B: b, Out: out})
 		}
-		round(pairs, p)
+		core.MergeRoundFunc(context.Background(), pairs, p, nil, less)
 		runs = runs[:len(pairs)]
 		for i, pr := range pairs {
 			runs[i] = pr.Out
@@ -139,9 +138,8 @@ func (h *mergeHeap[T]) Pop() interface{} {
 }
 
 // HeapMerge merges k sorted lists sequentially with a binary heap — the
-// O(N·log k) classic that the tree and co-rank strategies are
-// benchmarked (and property-tested) against. Stable in the same sense
-// as Merge.
+// O(N·log k) classic that every strategy is benchmarked (and
+// property-tested) against. Stable in the same sense as Merge.
 func HeapMerge[T cmp.Ordered](lists [][]T) []T {
 	total := 0
 	h := make(mergeHeap[T], 0, len(lists))
@@ -168,10 +166,10 @@ func HeapMerge[T cmp.Ordered](lists [][]T) []T {
 }
 
 // MergeFunc is Merge under a caller-supplied strict weak ordering,
-// using the tree strategy. The cross-list tie rule matches Merge: lower
-// list index wins. (The pairing tree preserves it because round r
-// merges neighbouring subtrees with the lower-indexed one as the
-// tie-winning first input.)
+// using a binary tree of merge-path rounds. The cross-list tie rule
+// matches Merge: lower list index wins. (The pairing tree preserves it
+// because round r merges neighbouring subtrees with the lower-indexed
+// one as the tie-winning first input.)
 func MergeFunc[T any](lists [][]T, p int, less func(x, y T) bool) []T {
 	if p < 1 {
 		panic("kway: worker count must be positive")
@@ -188,8 +186,6 @@ func MergeFunc[T any](lists [][]T, p int, less func(x, y T) bool) []T {
 		copy(dst, lists[0])
 		return dst
 	}
-	treeMerge(dst, lists, p, func(pairs []core.Pair[T], p int) {
-		core.MergeRoundFunc(context.Background(), pairs, p, nil, less)
-	})
+	treeMerge(dst, lists, p, less)
 	return dst
 }

@@ -62,7 +62,7 @@ func TestMergeIntoEdgeCases(t *testing.T) {
 }
 
 // strategies lists every concrete MergeIntoStats strategy.
-var strategies = []Strategy{StrategyHeap, StrategyTree, StrategyCoRank}
+var strategies = []Strategy{StrategyHeap, StrategyCoRank}
 
 // sameBits reports whether got and want hold the same float64 bit
 // patterns, so a -0 where +0 belongs is a mismatch.

@@ -11,62 +11,39 @@ import (
 
 // Strategy selects the k-way merge implementation behind MergeInto.
 // The zero value is StrategyAuto. All strategies produce byte-identical
-// output (the stable order is unique); they differ only in work shape,
-// memory traffic and parallelism — see docs/KWAY.md for selection
-// guidance.
+// output (the stable order is unique); they differ only in work shape
+// and parallelism — see docs/KWAY.md.
 type Strategy uint8
 
 const (
-	// StrategyAuto picks per call: the pairwise merge-path round for
-	// k <= 2, the sequential merge below coRankMinTotal elements or for
-	// p == 1, and co-ranking otherwise.
+	// StrategyAuto picks per call: the sequential merge below
+	// coRankMinTotal elements or for p == 1, and co-ranking otherwise;
+	// two runs always take co-ranking's merge-path round.
 	StrategyAuto Strategy = iota
 	// StrategyHeap is the sequential merge: one loser-tree tournament
 	// over all k runs, O(N·log k) comparisons, one pass, no parallelism —
-	// the cheapest choice for small outputs; "heap" is its flag
-	// spelling.
+	// the cheapest choice for small outputs.
 	StrategyHeap
-	// StrategyTree is the binary tree of pairwise merge-path merges:
-	// every level is fully parallel but the data moves ceil(log2 k)
-	// times, so it pays O(N·log k) memory traffic.
-	StrategyTree
 	// StrategyCoRank cuts the k runs at p equal output ranks with
 	// CoRank and lets p workers each merge a disjoint window lock-free
 	// with the loser-tree kernel: O(N·log k) comparisons but only O(N)
 	// data movement, in one pass, with per-worker loads balanced to
-	// within one element.
+	// within one element. Two runs are one merge-path round: the
+	// co-rank cut of two runs is the paper's diagonal search.
 	StrategyCoRank
 )
 
-// String returns the flag spelling: auto, heap, tree or corank.
+// String returns the strategy's name: auto, heap or corank.
 func (s Strategy) String() string {
 	switch s {
 	case StrategyAuto:
 		return "auto"
 	case StrategyHeap:
 		return "heap"
-	case StrategyTree:
-		return "tree"
 	case StrategyCoRank:
 		return "corank"
 	default:
 		return fmt.Sprintf("strategy(%d)", uint8(s))
-	}
-}
-
-// ParseStrategy parses a flag spelling (auto | heap | tree | corank).
-func ParseStrategy(s string) (Strategy, error) {
-	switch s {
-	case "", "auto":
-		return StrategyAuto, nil
-	case "heap":
-		return StrategyHeap, nil
-	case "tree":
-		return StrategyTree, nil
-	case "corank":
-		return StrategyCoRank, nil
-	default:
-		return StrategyAuto, fmt.Errorf("kway: unknown strategy %q (want auto, heap, tree or corank)", s)
 	}
 }
 
@@ -80,12 +57,10 @@ type Stats struct {
 	// K is the number of input runs, empty runs included.
 	K int
 	// Workers is how many parallel output windows were merged: the
-	// co-rank window count, the requested p for the tree, 1 for the
-	// heap.
+	// co-rank window count, 1 for the heap.
 	Workers int
 	// PerWorker is the elements each co-rank window wrote, in window
-	// order; nil for the heap and tree paths, which have no per-worker
-	// output windows.
+	// order; nil for the heap, which has no per-worker output windows.
 	PerWorker []int
 	// Imbalance is max/mean of PerWorker — the k-way generalization of
 	// the paper's Theorem 5 balance check, ~1.0 by construction because
@@ -99,19 +74,15 @@ type Stats struct {
 // hand-off and the p-1 co-rank searches cost more than the merge.
 const coRankMinTotal = 1 << 13
 
-// autoStrategy is the StrategyAuto decision: k <= 2 degenerates to the
-// paper's pairwise merge (the tree path runs exactly one parallel
-// merge-path round straight into dst), tiny or sequential merges take
-// the sequential tournament, everything else co-ranks.
+// autoStrategy is the StrategyAuto decision: two runs are the paper's
+// own merge, so they always co-rank (one merge-path round straight into
+// dst); tiny or sequential merges take the sequential tournament,
+// everything else co-ranks.
 func autoStrategy(k, total, p int) Strategy {
-	switch {
-	case k <= 2:
-		return StrategyTree
-	case p == 1 || total < coRankMinTotal:
+	if k > 2 && (p == 1 || total < coRankMinTotal) {
 		return StrategyHeap
-	default:
-		return StrategyCoRank
 	}
+	return StrategyCoRank
 }
 
 // MergeIntoStats is MergeInto with an explicit strategy and the
@@ -138,18 +109,10 @@ func MergeIntoStats[T cmp.Ordered](dst []T, lists [][]T, p int, strat Strategy) 
 	case len(lists) == 0:
 	case len(lists) == 1:
 		copy(dst, lists[0])
+	case st.Strategy == StrategyHeap:
+		seqMergeInto(dst, lists)
 	default:
-		switch st.Strategy {
-		case StrategyHeap:
-			seqMergeInto(dst, lists)
-		case StrategyTree:
-			st.Workers = p
-			treeMerge(dst, lists, p, func(pairs []core.Pair[T], p int) {
-				core.MergeRound(context.Background(), pairs, p, nil)
-			})
-		default:
-			coRankMergeInto(dst, lists, p, &st)
-		}
+		coRankMergeInto(dst, lists, p, &st)
 	}
 	return dst, st
 }
@@ -157,12 +120,38 @@ func MergeIntoStats[T cmp.Ordered](dst []T, lists [][]T, p int, strat Strategy) 
 // coRankMergeInto runs the co-ranking strategy proper. The p-1 cut
 // vectors are componentwise monotone (prefix sets are nested), so the
 // windows partition every input exactly once and each worker writes a
-// pre-assigned disjoint span of dst: no locks, no coordination.
+// pre-assigned disjoint span of dst: no locks, no coordination. Two
+// runs go to one core.MergeRound pair, which cuts them at the same
+// ranks with the diagonal search.
 func coRankMergeInto[T cmp.Ordered](dst []T, lists [][]T, p int, st *Stats) {
 	total := len(dst)
-	if p > total {
-		p = total // no worker should own an empty window
+	p = min(p, total) // no worker should own an empty window
+	st.Workers = p
+	if p == 0 {
+		return
 	}
+	if len(lists) == 2 {
+		pair := []core.Pair[T]{{A: lists[0], B: lists[1], Out: dst}}
+		ws, _ := core.MergeRound(context.Background(), pair, p, make([]core.WorkerStat, p))
+		st.PerWorker = make([]int, len(ws))
+		for w, s := range ws {
+			st.PerWorker[w] = s.Elements
+		}
+	} else {
+		st.PerWorker = mergeCoRankWindows(dst, lists, p)
+	}
+	maxLoad := 0
+	for _, n := range st.PerWorker {
+		maxLoad = max(maxLoad, n)
+	}
+	st.Imbalance = float64(maxLoad) * float64(p) / float64(total)
+}
+
+// mergeCoRankWindows cuts lists at p-1 equispaced output ranks and
+// merges the p windows into dst, one goroutine each when p > 1; it
+// returns each window's element count.
+func mergeCoRankWindows[T cmp.Ordered](dst []T, lists [][]T, p int) []int {
+	total := len(dst)
 	cuts := make([][]int, p+1)
 	cuts[0] = make([]int, len(lists))
 	ends := make([]int, len(lists))
@@ -173,18 +162,16 @@ func coRankMergeInto[T cmp.Ordered](dst []T, lists [][]T, p int, st *Stats) {
 	for w := 1; w < p; w++ {
 		cuts[w] = CoRank(lists, w*total/p)
 	}
-	st.Workers = p
-	st.PerWorker = make([]int, p)
+	loads := make([]int, p)
 	if p == 1 {
-		st.PerWorker[0] = total
-		st.Imbalance = 1
+		loads[0] = total
 		mergeWindows(dst, lists, cuts[0], cuts[1])
-		return
+		return loads
 	}
 	done := make(chan struct{})
 	for w := 0; w < p; w++ {
 		start, end := w*total/p, (w+1)*total/p
-		st.PerWorker[w] = end - start
+		loads[w] = end - start
 		go func(w, start, end int) {
 			mergeWindows(dst[start:end], lists, cuts[w], cuts[w+1])
 			done <- struct{}{}
@@ -193,16 +180,7 @@ func coRankMergeInto[T cmp.Ordered](dst []T, lists [][]T, p int, st *Stats) {
 	for w := 0; w < p; w++ {
 		<-done
 	}
-	maxLoad, sum := 0, 0
-	for _, n := range st.PerWorker {
-		sum += n
-		if n > maxLoad {
-			maxLoad = n
-		}
-	}
-	if mean := float64(sum) / float64(p); mean > 0 {
-		st.Imbalance = float64(maxLoad) / mean
-	}
+	return loads
 }
 
 // seqMergeInto is the sequential strategy writing into a caller buffer
@@ -380,7 +358,20 @@ func tournament[T cmp.Ordered](out []T, o int, leaves []leaf[T], tree []node[T],
 			lk, ll := nd.key, nd.leaf
 			// The stored loser beats the climber if it is smaller, or
 			// equal and the climber came up from the right (n odd).
-			m := -(b2i(lk < wk) | b2i(lk == wk)&n)
+			// The compiler emits each 0/1 flag as a flag set, not a
+			// branch. They are written out, not behind a helper: a
+			// package that imports kway only through another one (jobs,
+			// via extsort) instantiates this body without inlining such
+			// a helper, and the linker may keep that copy for the whole
+			// binary, so every replay level would pay two calls.
+			lt, eq := 0, 0
+			if lk < wk {
+				lt = 1
+			}
+			if lk == wk {
+				eq = 1
+			}
+			m := -(lt | eq&n)
 			nk := lk
 			if m != 0 {
 				nk, wk = wk, lk
@@ -390,14 +381,4 @@ func tournament[T cmp.Ordered](out []T, o int, leaves []leaf[T], tree []node[T],
 			w ^= d
 		}
 	}
-}
-
-// b2i is 1 for true and 0 for false; the compiler emits it as a flag
-// set, not a branch.
-func b2i(b bool) int {
-	var i int
-	if b {
-		i = 1
-	}
-	return i
 }

@@ -10,9 +10,9 @@ import (
 	"mergepath/internal/workload"
 )
 
-// BenchmarkKWayStrategies compares the three strategies at the issue's
-// k sweep over a fixed total output size (so the heap/tree/co-rank
-// columns are directly comparable per row). `make bench-kway` runs it.
+// BenchmarkKWayStrategies compares the two strategies over a k sweep
+// at a fixed total output size (so the heap and co-rank columns are
+// directly comparable per row). `make bench-kway` runs it.
 func BenchmarkKWayStrategies(b *testing.B) {
 	const total = 1 << 20
 	p := runtime.GOMAXPROCS(0)
@@ -23,7 +23,7 @@ func BenchmarkKWayStrategies(b *testing.B) {
 			lists[i] = workload.SortedUniform32(rng, total/k)
 		}
 		dst := make([]int32, total)
-		for _, strat := range []Strategy{StrategyHeap, StrategyTree, StrategyCoRank} {
+		for _, strat := range []Strategy{StrategyHeap, StrategyCoRank} {
 			b.Run(fmt.Sprintf("k=%d/%s", k, strat), func(b *testing.B) {
 				b.SetBytes(int64(total) * 4)
 				for i := 0; i < b.N; i++ {

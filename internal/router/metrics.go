@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"mergepath/internal/kway"
 	"mergepath/internal/promtext"
 	"mergepath/internal/server"
 	"mergepath/internal/stats"
@@ -30,14 +29,8 @@ type metrics struct {
 	failed     atomic.Uint64 // requests the router answered 502/503 for
 	binaryHops atomic.Uint64 // scatter sub-requests encoded as binary frames
 
-	gatherStrategy string        // configured gather strategy knob (set once at New)
-	gatherMerges   atomic.Uint64 // gather recombinations executed
-
-	mu             sync.Mutex
-	fanout         map[int]uint64 // scatter requests by window count
-	gatherImbMax   float64        // worst co-rank gather window imbalance seen
-	gatherImbSum   float64        // running sum of gather imbalance ratios
-	gatherImbCount uint64         // co-rank gathers contributing to gatherImbSum
+	mu     sync.Mutex
+	fanout map[int]uint64 // scatter requests by window count
 }
 
 type endpointMetrics struct {
@@ -93,30 +86,12 @@ func (m *metrics) observeSpans(spans []server.Span) {
 	}
 }
 
-// noteScatter records one completed scatter: its fan-out (window count)
-// and — via the gather stage histogram fed by observeSpans — its gather
-// latency.
-func (m *metrics) noteScatter(parts int, _ time.Duration) {
+// noteScatter records one completed scatter and its fan-out (window
+// count).
+func (m *metrics) noteScatter(parts int) {
 	m.scattered.Add(1)
 	m.mu.Lock()
 	m.fanout[parts]++
-	m.mu.Unlock()
-}
-
-// noteGather records one gather recombination: the count plus — when
-// the co-rank strategy ran and reported per-window loads — the window
-// imbalance, the k-way analogue of the node's round-balance metrics.
-func (m *metrics) noteGather(st kway.Stats) {
-	m.gatherMerges.Add(1)
-	if len(st.PerWorker) == 0 || st.Imbalance <= 0 {
-		return
-	}
-	m.mu.Lock()
-	if st.Imbalance > m.gatherImbMax {
-		m.gatherImbMax = st.Imbalance
-	}
-	m.gatherImbSum += st.Imbalance
-	m.gatherImbCount++
 	m.mu.Unlock()
 }
 
@@ -167,17 +142,6 @@ type RoutingSnapshot struct {
 	// Fanout is the scatter fan-out distribution: window count →
 	// number of scattered requests that used it.
 	Fanout map[int]uint64 `json:"fanout,omitempty"`
-	// GatherStrategy is the configured -gather-strategy knob; "auto"
-	// resolves per gather by partial count and size (docs/KWAY.md).
-	GatherStrategy string `json:"gather_strategy"`
-	// GatherMerges counts gather recombinations of scatter partials.
-	GatherMerges uint64 `json:"gather_merges"`
-	// GatherImbalanceMax is the worst co-rank gather window imbalance
-	// ratio since start (~1.0 by construction; 0 until a co-rank
-	// gather runs).
-	GatherImbalanceMax float64 `json:"gather_imbalance_max"`
-	// GatherImbalanceMean is the mean co-rank gather window imbalance.
-	GatherImbalanceMean float64 `json:"gather_imbalance_mean"`
 }
 
 // MetricsSnapshot is the router's /metrics JSON document; the same
@@ -192,8 +156,8 @@ type MetricsSnapshot struct {
 	// Endpoints is per-/v1-route counters and latency, keyed like the
 	// node daemon's endpoints map.
 	Endpoints map[string]server.EndpointSnapshot `json:"endpoints"`
-	// Stages is per-stage span latency (route/forward/scatter/gather
-	// plus decode/write), all wall time.
+	// Stages is per-stage span latency (route/forward/scatter plus
+	// decode/write), all wall time.
 	Stages map[string]stats.HistogramSnapshot `json:"stages"`
 }
 
@@ -201,19 +165,14 @@ func (m *metrics) snapshot(reg *registry) MetricsSnapshot {
 	s := MetricsSnapshot{
 		UptimeSeconds: time.Since(m.start).Seconds(),
 		Routing: RoutingSnapshot{
-			Routed:         m.routed.Load(),
-			Scattered:      m.scattered.Load(),
-			Rerouted:       m.rerouted.Load(),
-			Failed:         m.failed.Load(),
-			BinaryHops:     m.binaryHops.Load(),
-			GatherStrategy: m.gatherStrategy,
-			GatherMerges:   m.gatherMerges.Load(),
+			Routed:     m.routed.Load(),
+			Scattered:  m.scattered.Load(),
+			Rerouted:   m.rerouted.Load(),
+			Failed:     m.failed.Load(),
+			BinaryHops: m.binaryHops.Load(),
 		},
 		Endpoints: make(map[string]server.EndpointSnapshot, len(m.endpoints)),
 		Stages:    make(map[string]stats.HistogramSnapshot, len(m.stages)),
-	}
-	if s.Routing.GatherStrategy == "" {
-		s.Routing.GatherStrategy = kway.StrategyAuto.String()
 	}
 	m.mu.Lock()
 	if len(m.fanout) > 0 {
@@ -221,10 +180,6 @@ func (m *metrics) snapshot(reg *registry) MetricsSnapshot {
 		for k, v := range m.fanout {
 			s.Routing.Fanout[k] = v
 		}
-	}
-	s.Routing.GatherImbalanceMax = m.gatherImbMax
-	if m.gatherImbCount > 0 {
-		s.Routing.GatherImbalanceMean = m.gatherImbSum / float64(m.gatherImbCount)
 	}
 	m.mu.Unlock()
 	for name, e := range m.endpoints {
@@ -335,20 +290,6 @@ func renderProm(snap MetricsSnapshot) string {
 	w.Counter("mergerouter_failed_total", "", "Requests answered 502/503 by the router itself.", float64(snap.Routing.Failed))
 	w.Counter("mergerouter_binary_hops_total", "", "Scatter sub-requests encoded as binary frames (wire-speaking backends).", float64(snap.Routing.BinaryHops))
 
-	// Gather recombination: strategy knob (one-hot), count and co-rank
-	// window balance (docs/KWAY.md).
-	for _, st := range []string{"auto", "heap", "tree", "corank"} {
-		v := 0.0
-		if snap.Routing.GatherStrategy == st {
-			v = 1
-		}
-		w.Gauge("mergerouter_gather_strategy", `strategy="`+st+`"`,
-			"Configured gather merge strategy, one-hot: 1 on the series matching the knob.", v)
-	}
-	w.Counter("mergerouter_gather_merges_total", "", "Gather recombinations of scatter partials.", float64(snap.Routing.GatherMerges))
-	w.Gauge("mergerouter_gather_imbalance_max", "", "Worst co-rank gather window load-imbalance ratio since start (~1.0 by construction).", snap.Routing.GatherImbalanceMax)
-	w.Gauge("mergerouter_gather_imbalance_mean", "", "Mean co-rank gather window load-imbalance ratio since start.", snap.Routing.GatherImbalanceMean)
-
 	// Scatter fan-out distribution, one labelled series per observed
 	// window count.
 	fanouts := make([]int, 0, len(snap.Routing.Fanout))
@@ -410,7 +351,7 @@ func renderProm(snap MetricsSnapshot) string {
 			continue
 		}
 		w.LatencySummary("mergerouter_stage_latency_seconds", `stage="`+name+`"`,
-			"Router lifecycle stage timings (all wall time; gather is the k-way recombination).", h)
+			"Router lifecycle stage timings (all wall time).", h)
 	}
 	return w.String()
 }

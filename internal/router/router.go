@@ -6,9 +6,10 @@
 // final pick — so one hot key keeps locality without pinning a
 // struggling node. Large merges are split with the paper's diagonal
 // co-ranking cut (SplitMerge): disjoint, balanced output windows that
-// independent backends serve with zero coordination, recombined by the
-// gather stage with internal/kway into a response byte-identical to a
-// single node's.
+// independent backends serve with zero coordination. Each window is a
+// contiguous slice of the output, so every sub-merge result is copied
+// straight into its place and the response is byte-identical to a
+// single node's with no merge after the fan-out.
 //
 // Every backend is driven through its own internal/resilience client
 // (jittered retries honoring Retry-After, a retry budget, per-endpoint
@@ -17,7 +18,7 @@
 // rate steer routing before errors ever happen: brownout on one node
 // diverts traffic instead of failing requests. The router exposes the
 // same operational surface as the node daemon — /healthz, /metrics,
-// /metrics/prom — with route/forward/scatter/gather lifecycle spans on
+// /metrics/prom — with route/forward/scatter lifecycle spans on
 // Server-Timing.
 package router
 
@@ -32,12 +33,10 @@ import (
 	"log"
 	"mime"
 	"net/http"
-	"runtime"
 	"sort"
 	"strings"
 	"time"
 
-	"mergepath/internal/kway"
 	"mergepath/internal/resilience"
 	"mergepath/internal/server"
 	"mergepath/internal/wire"
@@ -55,19 +54,17 @@ const (
 	// StageForward is the whole-request backend round trip, failover
 	// included.
 	StageForward = "forward"
-	// StageScatter is the fan-out: all sub-merge round trips, measured
-	// as wall time from first send to last response.
+	// StageScatter is the fan-out: all sub-merge round trips, each
+	// result copied into its output window, measured as wall time from
+	// first send to last response.
 	StageScatter = "scatter"
-	// StageGather is the recombination of sorted partials via
-	// internal/kway into the single response array.
-	StageGather = "gather"
 	// StageWrite is response serialization.
 	StageWrite = "write"
 )
 
 // stageNames is the fixed stage key set, in lifecycle order.
 var stageNames = []string{
-	StageDecode, StageRoute, StageForward, StageScatter, StageGather, StageWrite,
+	StageDecode, StageRoute, StageForward, StageScatter, StageWrite,
 }
 
 // StageNames returns the router lifecycle stage keys in order. Callers
@@ -91,11 +88,6 @@ type Config struct {
 	// MaxScatter caps the scatter fan-out (windows per request).
 	// Default 8, clamped to the backend count at pick time.
 	MaxScatter int
-	// GatherStrategy selects how sorted partials from a scatter are
-	// recombined: kway.StrategyAuto (the zero value) picks by partial
-	// count and total size, the rest force one of heap, tree or corank
-	// (see docs/KWAY.md). The output is byte-identical either way.
-	GatherStrategy kway.Strategy
 	// MaxBodyBytes caps request bodies; beyond it the router answers
 	// 413 without touching a backend. Default 32 MiB (larger than the
 	// node default: the router exists to take requests one node
@@ -165,7 +157,6 @@ func New(cfg Config) (*Router, error) {
 		hc = &http.Client{Timeout: 10 * time.Second}
 	}
 	rt := &Router{cfg: cfg, m: newMetrics(), mux: http.NewServeMux()}
-	rt.m.gatherStrategy = cfg.GatherStrategy.String()
 	seed := cfg.Resilience.Seed
 	rt.reg = newRegistry(cfg.Backends, cfg.HealthInterval, cfg.HealthTimeout, func(u string) *resilience.Client {
 		rc := cfg.Resilience
@@ -202,12 +193,12 @@ func (rt *Router) Snapshot() MetricsSnapshot { return rt.m.snapshot(rt.reg) }
 // (body non-nil) or an object the envelope JSON-encodes.
 type reply struct {
 	status     int
-	obj        any         // encoded when body is nil
-	body       []byte      // raw passthrough from a backend
-	ctype      string      // body's Content-Type; empty means application/json
-	retryAfter string      // Retry-After to surface (backend-quoted)
-	timing     string      // backend Server-Timing to append to ours
-	backendID  string      // X-Request-Id minted downstream, if any
+	obj        any    // encoded when body is nil
+	body       []byte // raw passthrough from a backend
+	ctype      string // body's Content-Type; empty means application/json
+	retryAfter string // Retry-After to surface (backend-quoted)
+	timing     string // backend Server-Timing to append to ours
+	backendID  string // X-Request-Id minted downstream, if any
 }
 
 // route wraps an endpoint handler with the shared envelope: request-ID
@@ -504,8 +495,8 @@ func (rt *Router) handleMerge(r *http.Request, tr *server.Trace) *reply {
 }
 
 // scatterMerge splits a large merge across backends with the diagonal
-// co-ranking cut, runs the sub-merges concurrently (with per-window
-// failover), and gathers the sorted partials with internal/kway.
+// co-ranking cut and runs the sub-merges concurrently (with per-window
+// failover), each writing its own slice of the response.
 func (rt *Router) scatterMerge(r *http.Request, tr *server.Trace, req server.MergeRequest, raw []byte) *reply {
 	t0 := time.Now()
 	backs := rt.reg.pickScatter(rt.cfg.MaxScatter)
@@ -521,12 +512,15 @@ func (rt *Router) scatterMerge(r *http.Request, tr *server.Trace, req server.Mer
 	id := r.Header.Get("X-Request-Id")
 
 	sstart := time.Now()
-	partials := make([][]int64, len(windows))
+	out := make([]int64, len(req.A)+len(req.B))
 	errs := make([]error, len(windows))
 	done := make(chan int, len(windows))
+	lo := 0
 	for i, w := range windows {
+		dst := out[lo : lo+w.Len()]
+		lo += w.Len()
 		go func(i int, w Window) {
-			partials[i], errs[i] = rt.mergeWindow(ctx, r, id, i, req, w, backs)
+			errs[i] = rt.mergeWindow(ctx, r, id, i, req, w, backs, dst)
 			done <- i
 		}(i, w)
 	}
@@ -540,27 +534,21 @@ func (rt *Router) scatterMerge(r *http.Request, tr *server.Trace, req server.Mer
 			return errReply(http.StatusBadGateway, fmt.Errorf("scatter failed: %w", err))
 		}
 	}
-
-	gstart := time.Now()
-	out := make([]int64, len(req.A)+len(req.B))
-	_, st := kway.MergeIntoStats(out, partials, runtime.GOMAXPROCS(0), rt.cfg.GatherStrategy)
-	gather := time.Since(gstart)
-	tr.Add(StageGather, gstart, gather)
-	rt.m.noteScatter(len(windows), gather)
-	rt.m.noteGather(st)
+	rt.m.noteScatter(len(windows))
 	if wantsWire(r) {
 		return &reply{status: http.StatusOK, ctype: wire.ContentType, body: wire.AppendInt64(nil, out)}
 	}
 	return &reply{status: http.StatusOK, obj: server.MergeResponse{Result: out}}
 }
 
-// mergeWindow executes one scatter window: its primary backend is
-// chosen round-robin by window index, and on failure every other
-// scatter participant is tried before the window (and with it the whole
-// request) is declared failed. Each hop is encoded in the best format
-// that backend advertises — the binary frame when its /healthz lists
-// it, JSON otherwise — so a mixed-version fleet degrades per hop.
-func (rt *Router) mergeWindow(ctx context.Context, r *http.Request, id string, i int, req server.MergeRequest, w Window, backs []*backend) ([]int64, error) {
+// mergeWindow executes one scatter window into dst, the window's slice
+// of the response: its primary backend is chosen round-robin by window
+// index, and on failure every other scatter participant is tried before
+// the window (and with it the whole request) is declared failed. Each
+// hop is encoded in the best format that backend advertises — the
+// binary frame when its /healthz lists it, JSON otherwise — so a
+// mixed-version fleet degrades per hop.
+func (rt *Router) mergeWindow(ctx context.Context, r *http.Request, id string, i int, req server.MergeRequest, w Window, backs []*backend, dst []int64) error {
 	subA, subB := req.A[w.ALo:w.AHi], req.B[w.BLo:w.BHi]
 	var jsonBody, wireBody []byte // lazily encoded, at most once each
 	hdr := fwdHeaders(r, fmt.Sprintf("%s-s%d", id, i))
@@ -585,7 +573,7 @@ func (rt *Router) mergeWindow(ctx context.Context, r *http.Request, id string, i
 			if jsonBody == nil {
 				var err error
 				if jsonBody, err = json.Marshal(server.MergeRequest{A: subA, B: subB}); err != nil {
-					return nil, err
+					return err
 				}
 			}
 			body = jsonBody
@@ -600,43 +588,46 @@ func (rt *Router) mergeWindow(ctx context.Context, r *http.Request, id string, i
 			lastErr = fmt.Errorf("backend %s: window %d status %d", b.url, i, res.status)
 			continue
 		}
-		result, err := decodeSubMerge(res)
-		if err != nil {
+		if err := decodeSubMerge(res, dst); err != nil {
 			lastErr = fmt.Errorf("backend %s: window %d: %w", b.url, i, err)
 			continue
 		}
-		if len(result) != w.Len() {
-			lastErr = fmt.Errorf("backend %s: window %d returned %d elements, want %d",
-				b.url, i, len(result), w.Len())
-			continue
-		}
-		return result, nil
+		return nil
 	}
 	if lastErr == nil {
 		lastErr = ctx.Err()
 	}
-	return nil, lastErr
+	return lastErr
 }
 
-// decodeSubMerge extracts the sorted partial from one sub-merge
-// response, in whichever format the backend chose. The frame path
-// copies out of the pooled arena so the buffer goes straight back to
-// the pool instead of living until the gather finishes.
-func decodeSubMerge(res *backendResult) ([]int64, error) {
+// decodeSubMerge copies the sorted partial of one sub-merge response,
+// in whichever format the backend chose, into dst. dst is written only
+// once the partial is known to be exactly len(dst) elements, so a
+// failed attempt leaves it for the next backend. The frame path copies
+// straight out of the pooled arena, which goes back to the pool on
+// return.
+func decodeSubMerge(res *backendResult, dst []int64) error {
+	var result []int64
 	if mediaTypeIs(res.header.Get("Content-Type"), wire.ContentType) {
 		fr, err := wire.Decode(bytes.NewReader(res.body), wire.Limits{})
 		if err != nil {
-			return nil, err
+			return err
 		}
 		defer fr.Release()
 		if fr.Type != wire.Int64 || fr.Lists() != 1 {
-			return nil, fmt.Errorf("sub-merge frame: type %d with %d lists, want one int64 list", fr.Type, fr.Lists())
+			return fmt.Errorf("sub-merge frame: type %d with %d lists, want one int64 list", fr.Type, fr.Lists())
 		}
-		return append([]int64(nil), fr.Ints[0]...), nil
+		result = fr.Ints[0]
+	} else {
+		var mr server.MergeResponse
+		if err := json.Unmarshal(res.body, &mr); err != nil {
+			return err
+		}
+		result = mr.Result
 	}
-	var mr server.MergeResponse
-	if err := json.Unmarshal(res.body, &mr); err != nil {
-		return nil, err
+	if len(result) != len(dst) {
+		return fmt.Errorf("returned %d elements, want %d", len(result), len(dst))
 	}
-	return mr.Result, nil
+	copy(dst, result)
+	return nil
 }

@@ -13,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"mergepath/internal/kway"
 	"mergepath/internal/resilience"
 	"mergepath/internal/server"
 	"mergepath/internal/verify"
@@ -352,7 +351,7 @@ func TestRouterObservabilitySurfaces(t *testing.T) {
 		t.Fatal("no X-Request-Id echoed")
 	}
 	st := resp.Header.Get("Server-Timing")
-	for _, stage := range []string{StageRoute, StageScatter, StageGather} {
+	for _, stage := range []string{StageRoute, StageScatter} {
 		if !strings.Contains(st, stage+";dur=") {
 			t.Fatalf("Server-Timing %q missing stage %q", st, stage)
 		}
@@ -415,14 +414,13 @@ func TestRouterObservabilitySurfaces(t *testing.T) {
 	}
 }
 
-// TestRouterGatherStrategy pins the -gather-strategy knob: a forced
-// co-rank gather still returns byte-identical responses, and the gather
-// counters land on both the /metrics JSON and the prom exposition.
+// TestRouterGatherStrategy pins the gather: each co-ranked window's
+// sub-merge lands straight in its own slice of the response, so a
+// duplicate-heavy scatter (ties crossing windows) still returns the
+// single-node body byte for byte, and the scatter lands on both the
+// /metrics JSON and the prom exposition.
 func TestRouterGatherStrategy(t *testing.T) {
-	c := newTestCluster(t, 3, func(cfg *Config) {
-		cfg.ScatterThreshold = 64
-		cfg.GatherStrategy = kway.StrategyCoRank
-	}, nil)
+	c := newTestCluster(t, 3, func(cfg *Config) { cfg.ScatterThreshold = 64 }, nil)
 	rng := rand.New(rand.NewSource(9))
 	a := sortedInt64(rng, 3000, 32) // duplicate-heavy: ties cross windows
 	b := sortedInt64(rng, 3000, 32)
@@ -433,18 +431,15 @@ func TestRouterGatherStrategy(t *testing.T) {
 		t.Fatalf("router %d node %d", rresp.StatusCode, nresp.StatusCode)
 	}
 	if !bytes.Equal(rbody, nbody) {
-		t.Fatal("co-rank gather response differs from single node")
+		t.Fatal("gathered response differs from single node")
 	}
 
 	snap := c.rt.Snapshot()
-	if snap.Routing.GatherStrategy != "corank" {
-		t.Fatalf("gather strategy %q, want corank", snap.Routing.GatherStrategy)
+	if snap.Routing.Scattered != 1 {
+		t.Fatalf("scattered %d, want 1", snap.Routing.Scattered)
 	}
-	if snap.Routing.GatherMerges == 0 {
-		t.Fatal("no gather merges counted")
-	}
-	if snap.Routing.GatherImbalanceMax == 0 || snap.Routing.GatherImbalanceMax > 1.5 {
-		t.Fatalf("gather imbalance_max %.3f, want ~1.0", snap.Routing.GatherImbalanceMax)
+	if snap.Routing.Fanout[3] != 1 {
+		t.Fatalf("fan-out %v, want one 3-window scatter", snap.Routing.Fanout)
 	}
 
 	presp, err := http.Get(c.ts.URL + "/metrics/prom")
@@ -454,13 +449,59 @@ func TestRouterGatherStrategy(t *testing.T) {
 	defer presp.Body.Close()
 	pbody, _ := io.ReadAll(presp.Body)
 	for _, want := range []string{
-		`mergerouter_gather_strategy{strategy="corank"} 1`,
-		"mergerouter_gather_merges_total",
-		"mergerouter_gather_imbalance_max 1",
+		"mergerouter_scattered_total 1",
+		`mergerouter_scatter_fanout_total{windows="3"} 1`,
 	} {
 		if !strings.Contains(string(pbody), want) {
 			t.Fatalf("prom exposition missing %q", want)
 		}
+	}
+}
+
+// TestRouterScatterShortPartial: a backend that answers 200 with one
+// element too few must not land in the response. The window fails over
+// to the other backend, and the 200 equals the reference merge.
+func TestRouterScatterShortPartial(t *testing.T) {
+	var shortHits atomic.Int64
+	short := fakeBackend(t, healthyDoc, func(w http.ResponseWriter, r *http.Request) {
+		var req server.MergeRequest
+		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		shortHits.Add(1)
+		out := verify.ReferenceMerge(req.A, req.B)
+		w.Header().Set("Content-Type", "application/json")
+		_ = json.NewEncoder(w).Encode(server.MergeResponse{Result: out[:len(out)-1]})
+	})
+	good := fakeBackend(t, healthyDoc, mergeOK)
+	rt, err := New(Config{
+		Backends:         []string{short.URL, good.URL},
+		HealthInterval:   20 * time.Millisecond,
+		ScatterThreshold: 64,
+		Resilience:       resilienceFast(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt.Close)
+	ts := httptest.NewServer(rt)
+	t.Cleanup(ts.Close)
+
+	rng := rand.New(rand.NewSource(10))
+	a := sortedInt64(rng, 500, 16)
+	b := sortedInt64(rng, 500, 16)
+	var got server.MergeResponse
+	if code := post(t, ts.URL, "/v1/merge", server.MergeRequest{A: a, B: b}, &got); code != http.StatusOK {
+		t.Fatalf("status %d (failover did not rescue the short window)", code)
+	}
+	if !verify.Equal(got.Result, verify.ReferenceMerge(a, b)) {
+		t.Fatal("scattered response differs from the reference merge")
+	}
+	snap := rt.Snapshot()
+	if shortHits.Load() == 0 || snap.Routing.Scattered != 1 || snap.Routing.Rerouted == 0 {
+		t.Fatalf("short backend hits %d, routing %+v: the short partial was never exercised",
+			shortHits.Load(), snap.Routing)
 	}
 }
 

@@ -4,10 +4,10 @@
 // same cut — SearchDiagonal at equally spaced output ranks — carves one
 // large merge request into sub-requests that independent backends can
 // serve with no coordination. Each window is a contiguous range of the
-// *output*, so the gather stage only has to recombine already-disjoint
-// sorted runs (internal/kway), and the result is byte-identical to a
-// single-node merge, duplicates included, because the cut inherits the
-// search's tie rule (ties go to the first array).
+// *output*, so each sub-merge result is copied straight into its place
+// and nothing is merged after the fan-out; the result is byte-identical
+// to a single-node merge, duplicates included, because the cut inherits
+// the search's tie rule (ties go to the first array).
 package router
 
 import "mergepath/internal/core"

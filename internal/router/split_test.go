@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"mergepath/internal/core"
-	"mergepath/internal/kway"
 	"mergepath/internal/verify"
 )
 
@@ -25,15 +24,16 @@ func sortedInt64(rng *rand.Rand, n int, bound int64) []int64 {
 }
 
 // mergeWindows runs every window's sub-merge locally — standing in for
-// the backends — and returns the partials in window order.
-func mergeWindows(a, b []int64, ws []Window) [][]int64 {
-	parts := make([][]int64, len(ws))
-	for i, w := range ws {
-		out := make([]int64, w.Len())
-		core.ParallelMerge(a[w.ALo:w.AHi], b[w.BLo:w.BHi], out, 2)
-		parts[i] = out
+// the backends — straight into its slice of one output, as the router
+// places the partials.
+func mergeWindows(a, b []int64, ws []Window) []int64 {
+	out := make([]int64, len(a)+len(b))
+	lo := 0
+	for _, w := range ws {
+		core.ParallelMerge(a[w.ALo:w.AHi], b[w.BLo:w.BHi], out[lo:lo+w.Len()], 2)
+		lo += w.Len()
 	}
-	return parts
+	return out
 }
 
 // checkWindows asserts the structural invariants SplitMerge guarantees:
@@ -84,8 +84,8 @@ func checkWindows(t *testing.T, a, b []int64, ws []Window, parts int) {
 
 // TestSplitGatherEqualsSingleNode is the scatter correctness property:
 // for any sorted inputs, any part count, cutting with SplitMerge,
-// merging each window independently, and gathering the partials with
-// internal/kway is byte-identical to one reference merge — duplicates,
+// merging each window independently into its slice of the output is
+// byte-identical to one reference merge — duplicates,
 // skew and degenerate sizes included. This is exactly the router's
 // scatter path with the network removed.
 func TestSplitGatherEqualsSingleNode(t *testing.T) {
@@ -103,8 +103,7 @@ func TestSplitGatherEqualsSingleNode(t *testing.T) {
 			for _, parts := range []int{2, 4, 8} {
 				ws := SplitMerge(a, b, parts)
 				checkWindows(t, a, b, ws, parts)
-				partials := mergeWindows(a, b, ws)
-				got := kway.Merge(partials, 4)
+				got := mergeWindows(a, b, ws)
 				if !verify.Equal(got, want) {
 					t.Fatalf("a=%d b=%d bound=%d parts=%d: scatter+gather != single merge",
 						sz[0], sz[1], bound, parts)
@@ -134,7 +133,7 @@ func TestSplitGatherSkewed(t *testing.T) {
 			for _, parts := range []int{2, 4, 8} {
 				ws := SplitMerge(tc.a, tc.b, parts)
 				checkWindows(t, tc.a, tc.b, ws, parts)
-				got := kway.Merge(mergeWindows(tc.a, tc.b, ws), 4)
+				got := mergeWindows(tc.a, tc.b, ws)
 				if !verify.Equal(got, want) {
 					t.Fatalf("parts=%d: scatter+gather != single merge", parts)
 				}
@@ -153,7 +152,7 @@ func TestSplitMergeRandomized(t *testing.T) {
 		parts := 1 + rng.Intn(20)
 		ws := SplitMerge(a, b, parts)
 		checkWindows(t, a, b, ws, parts)
-		got := kway.Merge(mergeWindows(a, b, ws), 3)
+		got := mergeWindows(a, b, ws)
 		if !verify.Equal(got, verify.ReferenceMerge(a, b)) {
 			t.Fatalf("trial %d (|a|=%d |b|=%d parts=%d): mismatch", trial, len(a), len(b), parts)
 		}

@@ -50,8 +50,8 @@ type Health struct {
 	// through a big external sort is busier than its request queue
 	// shows). Nil only while draining.
 	Jobs *jobs.Snapshot `json:"jobs,omitempty"`
-	// KWay reports the node's k-way merge strategy knob and co-rank
-	// window balance (docs/KWAY.md) — the same numbers as /metrics.
+	// KWay reports the node's k-way merge counters and co-rank window
+	// balance (docs/KWAY.md) — the same numbers as /metrics.
 	// Nil only while draining.
 	KWay *KWaySnapshot `json:"kway,omitempty"`
 }

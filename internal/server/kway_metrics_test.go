@@ -12,42 +12,42 @@ import (
 	"mergepath/internal/verify"
 )
 
-// TestMergeKStrategyIdentical pins the server-level contract behind the
-// -kway-strategy knob: /v1/mergek responses are byte-identical whichever
-// strategy the operator configures.
+// TestMergeKStrategyIdentical pins the server-level contract behind
+// the auto k-way choice: /v1/mergek responses equal kway.HeapMerge
+// whichever strategy the input resolves to — the sequential merge for
+// a small request, co-rank windows for a large one, and the merge-path
+// round for two runs.
 func TestMergeKStrategyIdentical(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 4})
 	rng := rand.New(rand.NewSource(50))
-	lists := make([][]int64, 9)
-	for i := range lists {
-		lists[i] = sortedInt64(rng, rng.Intn(700))
-	}
-	var want []int64
-	for _, strat := range []kway.Strategy{kway.StrategyAuto, kway.StrategyHeap, kway.StrategyTree, kway.StrategyCoRank} {
-		_, ts := newTestServer(t, Config{KWayStrategy: strat, Workers: 4})
+	for _, tc := range []struct{ k, maxLen int }{{9, 700}, {9, 4000}, {2, 9000}} {
+		lists := make([][]int64, tc.k)
+		for i := range lists {
+			lists[i] = sortedInt64(rng, rng.Intn(tc.maxLen))
+		}
 		var got MergeKResponse
 		if code := post(t, ts, "/v1/mergek", MergeKRequest{Lists: lists}, &got); code != http.StatusOK {
-			t.Fatalf("strategy %v: status %d", strat, code)
+			t.Fatalf("k=%d: status %d", tc.k, code)
 		}
-		if want == nil {
-			want = got.Result
-			continue
+		if !verify.Equal(got.Result, kway.HeapMerge(lists)) {
+			t.Fatalf("k=%d: response differs from kway.HeapMerge", tc.k)
 		}
-		if !verify.Equal(got.Result, want) {
-			t.Fatalf("strategy %v: response differs from first strategy's", strat)
-		}
+	}
+	if snap := s.Snapshot(); snap.KWay.MergesHeap != 1 || snap.KWay.MergesCoRank != 2 {
+		t.Fatalf("kway merge counters: %+v", snap.KWay)
 	}
 }
 
-// TestKWayMetricsSurfaces drives /v1/mergek with the co-rank strategy
-// forced and checks all three observability surfaces agree: the kway
-// block on /metrics, the mergepathd_kway_* series on /metrics/prom and
-// the kway block on /healthz.
+// TestKWayMetricsSurfaces drives a /v1/mergek large enough to co-rank
+// and checks all three observability surfaces agree: the kway block on
+// /metrics, the mergepathd_kway_* series on /metrics/prom and the kway
+// block on /healthz.
 func TestKWayMetricsSurfaces(t *testing.T) {
-	_, ts := newTestServer(t, Config{KWayStrategy: kway.StrategyCoRank, Workers: 4})
+	_, ts := newTestServer(t, Config{Workers: 4})
 	rng := rand.New(rand.NewSource(51))
 	lists := make([][]int64, 6)
 	for i := range lists {
-		lists[i] = sortedInt64(rng, 300)
+		lists[i] = sortedInt64(rng, 2000)
 	}
 	if code := post(t, ts, "/v1/mergek", MergeKRequest{Lists: lists}, nil); code != http.StatusOK {
 		t.Fatalf("mergek status %d", code)
@@ -63,10 +63,7 @@ func TestKWayMetricsSurfaces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap.KWay.Strategy != "corank" {
-		t.Fatalf("kway strategy %q, want corank", snap.KWay.Strategy)
-	}
-	if snap.KWay.MergesCoRank != 1 || snap.KWay.MergesHeap != 0 || snap.KWay.MergesTree != 0 {
+	if snap.KWay.MergesCoRank != 1 || snap.KWay.MergesHeap != 0 {
 		t.Fatalf("kway merge counters: %+v", snap.KWay)
 	}
 	if snap.KWay.LastK != len(lists) {
@@ -92,7 +89,6 @@ func TestKWayMetricsSurfaces(t *testing.T) {
 	prom, _ := io.ReadAll(presp.Body)
 	presp.Body.Close()
 	for _, series := range []string{
-		`mergepathd_kway_strategy{strategy="corank"} 1`,
 		`mergepathd_kway_merges_total{strategy="corank"} 1`,
 		`mergepathd_kway_merges_total{strategy="heap"} 0`,
 		"mergepathd_kway_last_k 6",
@@ -113,24 +109,26 @@ func TestKWayMetricsSurfaces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.KWay == nil || h.KWay.Strategy != "corank" || h.KWay.MergesCoRank != 1 {
+	if h.KWay == nil || h.KWay.MergesCoRank != 1 {
 		t.Fatalf("healthz kway block: %+v", h.KWay)
 	}
 }
 
-// TestKWayAutoStrategyCounts checks the auto knob resolves per call:
-// a small mergek lands on the heap counter (below the co-rank
-// threshold), never the auto label.
+// TestKWayAutoStrategyCounts checks auto resolves per call: a small
+// mergek lands on the heap counter (below the co-rank threshold), and
+// two runs on the co-rank counter however small, never an auto label.
 func TestKWayAutoStrategyCounts(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	if code := post(t, ts, "/v1/mergek", MergeKRequest{Lists: [][]int64{{1, 3}, {2}, {4}}}, nil); code != http.StatusOK {
 		t.Fatalf("mergek status %d", code)
 	}
-	snap := s.Snapshot()
-	if snap.KWay.Strategy != "auto" {
-		t.Fatalf("configured strategy %q, want auto", snap.KWay.Strategy)
-	}
-	if snap.KWay.MergesHeap != 1 {
+	if snap := s.Snapshot(); snap.KWay.MergesHeap != 1 || snap.KWay.MergesCoRank != 0 {
 		t.Fatalf("small mergek should resolve to heap: %+v", snap.KWay)
+	}
+	if code := post(t, ts, "/v1/mergek", MergeKRequest{Lists: [][]int64{{1, 3}, {2}}}, nil); code != http.StatusOK {
+		t.Fatalf("mergek status %d", code)
+	}
+	if snap := s.Snapshot(); snap.KWay.MergesHeap != 1 || snap.KWay.MergesCoRank != 1 {
+		t.Fatalf("two-run mergek should resolve to corank: %+v", snap.KWay)
 	}
 }

@@ -39,10 +39,7 @@ type Metrics struct {
 	runRounds   atomic.Uint64 // uncoalesced (whole-pool) rounds with load stats
 
 	kwayHeap   atomic.Uint64 // k-way merges executed with the heap strategy
-	kwayTree   atomic.Uint64 // k-way merges executed with the tree strategy
 	kwayCoRank atomic.Uint64 // k-way merges executed with the co-rank strategy
-
-	kwayStrategy string // configured k-way strategy knob (set once at New)
 
 	mu            sync.Mutex
 	lastRoundLoad []core.WorkerStat // per-worker loads of the latest coalesced round
@@ -138,8 +135,6 @@ func (m *Metrics) noteKWay(st kway.Stats) {
 	switch st.Strategy {
 	case kway.StrategyHeap:
 		m.kwayHeap.Add(1)
-	case kway.StrategyTree:
-		m.kwayTree.Add(1)
 	case kway.StrategyCoRank:
 		m.kwayCoRank.Add(1)
 	}
@@ -295,19 +290,13 @@ type WireSnapshot struct {
 }
 
 // KWaySnapshot reports the k-way merge strategy counters: rounds by
-// executed strategy, the configured knob, and the per-worker window
-// imbalance of the co-rank path — the k-way extension of the Theorem 5
-// balance check (see docs/KWAY.md). Exported on /metrics,
-// /metrics/prom and (strategy + imbalance) /healthz.
+// executed strategy and the per-worker window imbalance of the co-rank
+// path — the k-way extension of the Theorem 5 balance check (see
+// docs/KWAY.md). Exported on /metrics, /metrics/prom and /healthz.
 type KWaySnapshot struct {
-	// Strategy is the configured -kway-strategy knob; "auto" resolves
-	// per call by k and output size.
-	Strategy string `json:"strategy"`
 	// MergesHeap counts k-way rounds executed with the sequential
 	// strategy (flag spelling heap).
 	MergesHeap uint64 `json:"merges_heap"`
-	// MergesTree counts rounds executed with the pairwise merge tree.
-	MergesTree uint64 `json:"merges_tree"`
 	// MergesCoRank counts rounds executed with co-ranking windows.
 	MergesCoRank uint64 `json:"merges_corank"`
 	// LastK is the run count of the latest k-way round.
@@ -355,13 +344,8 @@ type MetricsSnapshot struct {
 // /metrics and /healthz so the surfaces cannot drift.
 func (m *Metrics) kwaySnapshot() KWaySnapshot {
 	s := KWaySnapshot{
-		Strategy:     m.kwayStrategy,
 		MergesHeap:   m.kwayHeap.Load(),
-		MergesTree:   m.kwayTree.Load(),
 		MergesCoRank: m.kwayCoRank.Load(),
-	}
-	if s.Strategy == "" {
-		s.Strategy = kway.StrategyAuto.String()
 	}
 	m.mu.Lock()
 	s.LastK = m.kwayLastK

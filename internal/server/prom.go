@@ -79,20 +79,10 @@ func renderProm(snap MetricsSnapshot) string {
 	w.Counter("mergepathd_wire_responses_total", `format="binary"`, "Responses written on the /v1 endpoints, by format.", float64(snap.Wire.ResponsesBinary))
 	w.Counter("mergepathd_unsupported_media_type_total", "", "Requests refused with 415 for an unknown or endpoint-inapplicable Content-Type.", float64(snap.Wire.UnsupportedMediaType))
 
-	// K-way merges: strategy knob (one-hot), rounds by executed
-	// strategy, and the co-rank window balance — the Theorem 5 check
-	// extended to k runs (docs/KWAY.md).
+	// K-way merges: rounds by executed strategy, and the co-rank window
+	// balance — the Theorem 5 check extended to k runs (docs/KWAY.md).
 	kw := snap.KWay
-	for _, st := range []string{"auto", "heap", "tree", "corank"} {
-		v := 0.0
-		if kw.Strategy == st {
-			v = 1
-		}
-		w.Gauge("mergepathd_kway_strategy", `strategy="`+st+`"`,
-			"Configured k-way merge strategy, one-hot: 1 on the series matching the knob.", v)
-	}
 	w.Counter("mergepathd_kway_merges_total", `strategy="heap"`, "K-way merge rounds, by executed strategy.", float64(kw.MergesHeap))
-	w.Counter("mergepathd_kway_merges_total", `strategy="tree"`, "K-way merge rounds, by executed strategy.", float64(kw.MergesTree))
 	w.Counter("mergepathd_kway_merges_total", `strategy="corank"`, "K-way merge rounds, by executed strategy.", float64(kw.MergesCoRank))
 	w.Gauge("mergepathd_kway_last_k", "", "Run count of the latest k-way merge round.", float64(kw.LastK))
 	w.Gauge("mergepathd_kway_last_workers", "", "Parallel windows of the latest k-way merge round.", float64(kw.LastWorkers))

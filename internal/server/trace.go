@@ -89,7 +89,7 @@ func newTrace(id string, start time.Time) *Trace {
 
 // NewTrace starts a trace for a request with the given ID that arrived
 // at start. Exported for mergerouter, which records its own lifecycle
-// stages (route/forward/scatter/gather) with the same span machinery
+// stages (route/forward/scatter) with the same span machinery
 // and Server-Timing exposition as the node daemon.
 func NewTrace(id string, start time.Time) *Trace { return newTrace(id, start) }
 

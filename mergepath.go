@@ -113,9 +113,11 @@ func CacheEfficientSort[T cmp.Ordered](s []T, cacheElems, p int) {
 	psort.CacheEfficientSort(s, cacheElems, p)
 }
 
-// MergeK merges k sorted lists into one sorted slice using a binary tree
-// of parallel merge-path merges with p workers per round. Stable across
-// lists (ties ordered by list index).
+// MergeK merges k sorted lists into one sorted slice with p workers:
+// co-ranking cuts the lists at p equal output ranks and each worker
+// merges its window, or one merge-path round for two lists; small
+// merges run sequentially. Stable across lists (ties ordered by list
+// index).
 func MergeK[T cmp.Ordered](lists [][]T, p int) []T {
 	return kway.Merge(lists, p)
 }

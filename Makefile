@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt-check test race verify cover bench bench-kway experiments fmt serve loadtest loadtest-wire chaos soak lint-docs fuzz-wire fuzz-sort fuzz-kway kway-diff cluster cluster-quick jobs-soak jobs-soak-quick restart-quick restart-soak corrupt-check
+.PHONY: all build vet fmt-check test race verify cover bench bench-kway experiments fmt serve loadtest loadtest-wire chaos soak lint-docs fuzz-wire fuzz-sort fuzz-kway kway-diff cluster cluster-quick jobs-soak jobs-soak-quick restart-quick restart-soak corrupt-check be-check
 
 all: build vet test
 
@@ -24,7 +24,7 @@ race: vet
 		./internal/kway ./internal/setops ./internal/sched ./internal/baseline \
 		./internal/server ./internal/batch ./internal/stats ./internal/fault \
 		./internal/overload ./internal/resilience ./internal/router \
-		./internal/jobs ./internal/extsort ./internal/wire
+		./internal/jobs ./internal/extsort ./internal/wire ./internal/lebytes
 
 # Godoc audit: every exported identifier in the service-facing packages
 # must carry a doc comment (see cmd/lintdocs). Fails listing each gap.
@@ -32,7 +32,7 @@ lint-docs:
 	$(GO) run ./cmd/lintdocs ./internal/server ./internal/core ./internal/psort \
 		./internal/batch ./internal/stats ./internal/overload \
 		./internal/resilience ./internal/router ./internal/promtext \
-		./internal/jobs ./internal/extsort ./internal/wire \
+		./internal/jobs ./internal/extsort ./internal/wire ./internal/lebytes \
 		./internal/kway ./internal/fault ./cmd/mergerouter
 
 # Quick k-way differential: every strategy (auto, heap, co-rank) must be
@@ -64,6 +64,14 @@ fuzz-sort:
 fuzz-kway:
 	$(GO) test -run FuzzMergeInto -fuzz FuzzMergeInto -fuzztime 10s ./internal/kway
 
+# Big-endian build gate: type-check and vet the whole module for s390x,
+# so the portable per-element codec path (internal/lebytes callers in
+# wire and extsort) keeps compiling and vetting on a host that is
+# little-endian. It runs offline from the local toolchain; it cannot
+# run the tests, which would need a big-endian machine or emulator.
+be-check:
+	GOARCH=s390x $(GO) vet ./...
+
 # Full pre-merge gate: build, vet, the gofmt check (fmt-check), unit
 # tests, godoc audit, race suite (which includes the fault-injection
 # lifecycle tests in internal/server and internal/fault), short fuzz
@@ -71,17 +79,19 @@ fuzz-kway:
 # merged output, a chaos pass against a live in-process daemon, the
 # in-process cluster soak (3 backends + router, one backend
 # faulted, under -race), the quick jobs soak (concurrent submits +
-# cancels + GC under fault injection, -race), and the quick in-process
+# cancels + GC under fault injection, -race), the quick in-process
 # restart-recovery drill (journal replay, orphan GC, corruption
-# detection, -race). The longer overload/breaker soak is its own target
-# (`make soak`); the multi-process cluster is `make cluster`; the
-# extended jobs soak is `make jobs-soak`; the real SIGKILL restart soak
-# is `make restart-soak`.
-verify: build vet fmt-check test lint-docs kway-diff race fuzz-wire fuzz-sort fuzz-kway chaos cluster-quick jobs-soak-quick restart-quick
+# detection, -race) and the big-endian vet (be-check). The longer
+# overload/breaker soak is its own target (`make soak`); the
+# multi-process cluster is `make cluster`; the extended jobs soak is
+# `make jobs-soak`; the real SIGKILL restart soak is `make restart-soak`.
+verify: build vet fmt-check test lint-docs kway-diff race fuzz-wire fuzz-sort fuzz-kway chaos cluster-quick jobs-soak-quick restart-quick be-check
 
 cover:
 	$(GO) test -cover ./...
 
+# Every benchmark in the module, BenchmarkCodec (internal/wire: decode
+# and encode ns/elem on the zero-copy and portable paths) among them.
 bench:
 	$(GO) test -bench=. -benchmem ./...
 

@@ -65,7 +65,9 @@ type WorkerStat struct {
 // reads no clocks and returns nil.
 //
 // MergeRound panics if p < 1, ws is too short, or an Out is mis-sized;
-// it does so on the calling goroutine, before any worker starts.
+// it does so on the calling goroutine, before any worker starts. A
+// panic inside any worker (a comparator's, under MergeRoundFunc) is
+// re-raised on the calling goroutine once every worker has stopped.
 func MergeRound[T cmp.Ordered](ctx context.Context, pairs []Pair[T], p int, ws []WorkerStat) ([]WorkerStat, error) {
 	return mergeRound(ctx, pairs, p, ws, SearchDiagonal[T], MergeSteps[T])
 }
@@ -118,19 +120,27 @@ func mergeRound[T any](ctx context.Context, pairs []Pair[T], p int, ws []WorkerS
 		r.ws = ws[:r.p]
 		clear(r.ws)
 	}
-	// Workers 1..p-1 get goroutines; worker 0 runs on the caller.
+	// Workers 1..p-1 get goroutines; worker 0 runs on the caller. A
+	// panic in any worker waits for the rest, then re-raises on the
+	// caller, where a server's per-job recover can see it.
+	var relay PanicRelay
 	var wg sync.WaitGroup
 	for w := 1; w < r.p; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			defer relay.Catch()
 			r.work(w)
 		}(w)
 	}
 	if r.p > 0 {
-		r.work(0)
+		func() {
+			defer relay.Catch()
+			r.work(0)
+		}()
 	}
 	wg.Wait()
+	relay.Rethrow()
 	if r.stop.Load() {
 		return r.ws, ctx.Err()
 	}

@@ -1,13 +1,13 @@
 package extsort
 
 import (
-	"encoding/binary"
 	"fmt"
 	"io"
 	"os"
 	"sync/atomic"
 
 	"mergepath/internal/fault"
+	"mergepath/internal/lebytes"
 )
 
 // DeviceError is the typed failure every fallible FileDevice operation
@@ -74,9 +74,13 @@ const DefaultFileBlockRecords = 4096 / RecordBytes
 // little-endian integers addressed by record offset, and every read or
 // write is charged in whole blocks like the in-memory BlockDevice — so
 // the external sort's I/O accounting holds whether the "next memory
-// level" is simulated or a real disk. Read/Write are not safe for
-// concurrent use (the sort engine is single-threaded at the I/O layer);
-// the I/O counters are atomic so metrics may sample them concurrently.
+// level" is simulated or a real disk. On a little-endian host Read and
+// Write move records with one ReadAt/WriteAt over the slice's own bytes
+// (internal/lebytes); any other host converts them one at a time
+// through a reused scratch buffer, producing the same file bytes.
+// Read/Write are not safe for concurrent use (the sort engine is
+// single-threaded at the I/O layer); the I/O counters are atomic so
+// metrics may sample them concurrently.
 type FileDevice struct {
 	f            *os.File
 	path         string
@@ -85,7 +89,8 @@ type FileDevice struct {
 	reads        atomic.Uint64
 	writes       atomic.Uint64
 	syncs        atomic.Uint64
-	buf          []byte // reused encode/decode scratch
+	portable     bool   // convert per record through buf (big-endian hosts; tests force it)
+	buf          []byte // reused encode/decode scratch of the portable path
 	fault        *fault.Injector
 }
 
@@ -111,7 +116,7 @@ func CreateFileDevice(path string, capacity, blockRecords int) (*FileDevice, err
 		f.Close()
 		return nil, fmt.Errorf("extsort: size device: %w", err)
 	}
-	return &FileDevice{f: f, path: path, blockRecords: blockRecords, capacity: capacity}, nil
+	return &FileDevice{f: f, path: path, blockRecords: blockRecords, capacity: capacity, portable: !lebytes.Native()}, nil
 }
 
 // OpenFileDevice opens an existing record file as a device; its capacity
@@ -134,7 +139,8 @@ func OpenFileDevice(path string, blockRecords int) (*FileDevice, error) {
 		f.Close()
 		return nil, fmt.Errorf("extsort: %s: size %d is not a whole number of %d-byte records", path, fi.Size(), RecordBytes)
 	}
-	return &FileDevice{f: f, path: path, blockRecords: blockRecords, capacity: int(fi.Size() / RecordBytes)}, nil
+	return &FileDevice{f: f, path: path, blockRecords: blockRecords, capacity: int(fi.Size() / RecordBytes),
+		portable: !lebytes.Native()}, nil
 }
 
 // Capacity returns the device size in records.
@@ -146,16 +152,21 @@ func (d *FileDevice) BlockRecords() int { return d.blockRecords }
 // Path returns the backing file's path.
 func (d *FileDevice) Path() string { return d.path }
 
-// scratch returns the reused byte buffer grown to n records.
-func (d *FileDevice) scratch(n int) []byte {
-	if cap(d.buf) < n*RecordBytes {
-		d.buf = make([]byte, n*RecordBytes)
+// bytesOf returns the file bytes of records s: s's own memory, or on the
+// portable path the reused scratch buffer grown to len(s) records.
+func (d *FileDevice) bytesOf(s []int64) []byte {
+	if !d.portable {
+		return lebytes.Of(s)
 	}
-	return d.buf[:n*RecordBytes]
+	if cap(d.buf) < len(s)*RecordBytes {
+		d.buf = make([]byte, len(s)*RecordBytes)
+	}
+	return d.buf[:len(s)*RecordBytes]
 }
 
 // Read copies len(dst) records starting at record offset off into dst,
-// charging block reads.
+// charging block reads. On error dst's contents are unspecified: the
+// file may have been read straight into it.
 func (d *FileDevice) Read(off int, dst []int64) error {
 	if off < 0 || off+len(dst) > d.capacity {
 		return fmt.Errorf("extsort: read [%d,%d) outside device of %d records", off, off+len(dst), d.capacity)
@@ -166,15 +177,15 @@ func (d *FileDevice) Read(off int, dst []int64) error {
 	if d.fault.Hit(FaultOpRead) {
 		return &DeviceError{Op: "read", Path: d.path, Err: errReadFault}
 	}
-	buf := d.scratch(len(dst))
+	buf := d.bytesOf(dst)
 	if _, err := d.f.ReadAt(buf, int64(off)*RecordBytes); err != nil {
 		return &DeviceError{Op: "read", Path: d.path, Err: err}
 	}
 	if d.fault.Hit(FaultOpFlip) {
 		buf[0] ^= 1
 	}
-	for i := range dst {
-		dst[i] = int64(binary.LittleEndian.Uint64(buf[i*RecordBytes:]))
+	if d.portable {
+		lebytes.Get(dst, buf)
 	}
 	d.reads.Add(blocksSpanned(d.blockRecords, off, len(dst)))
 	return nil
@@ -192,9 +203,9 @@ func (d *FileDevice) Write(off int, src []int64) error {
 	if d.fault.Hit(FaultOpENOSPC) {
 		return &DeviceError{Op: "write", Path: d.path, Err: errNoSpace}
 	}
-	buf := d.scratch(len(src))
-	for i, v := range src {
-		binary.LittleEndian.PutUint64(buf[i*RecordBytes:], uint64(v))
+	buf := d.bytesOf(src)
+	if d.portable {
+		lebytes.Put(buf, src)
 	}
 	if d.fault.Hit(FaultOpShortWrite) {
 		// A torn write: persist only a prefix, then fail — the caller

@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"math/bits"
+	"sync"
 
 	"mergepath/internal/core"
 )
@@ -168,18 +169,22 @@ func mergeCoRankWindows[T cmp.Ordered](dst []T, lists [][]T, p int) []int {
 		mergeWindows(dst, lists, cuts[0], cuts[1])
 		return loads
 	}
-	done := make(chan struct{})
+	// A panic in a window waits for the rest, then re-raises on the
+	// caller, where a server's per-job recover can see it.
+	var relay core.PanicRelay
+	var wg sync.WaitGroup
 	for w := 0; w < p; w++ {
 		start, end := w*total/p, (w+1)*total/p
 		loads[w] = end - start
+		wg.Add(1)
 		go func(w, start, end int) {
+			defer wg.Done()
+			defer relay.Catch()
 			mergeWindows(dst[start:end], lists, cuts[w], cuts[w+1])
-			done <- struct{}{}
 		}(w, start, end)
 	}
-	for w := 0; w < p; w++ {
-		<-done
-	}
+	wg.Wait()
+	relay.Rethrow()
 	return loads
 }
 

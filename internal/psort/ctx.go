@@ -156,17 +156,25 @@ func sortRuns[T any](ctx context.Context, s, scratch []T, runLen, p int, st *Sor
 			runSortNanos.Add(int64(time.Since(t0)))
 		}
 	}
-	// Workers 1..p-1 get goroutines; worker 0 runs on the caller.
+	// Workers 1..p-1 get goroutines; worker 0 runs on the caller. A
+	// panic in any worker waits for the rest, then re-raises on the
+	// caller, where a server's per-job recover can see it.
+	var relay core.PanicRelay
 	var wg sync.WaitGroup
 	for w := 1; w < p; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			defer relay.Catch()
 			worker()
 		}()
 	}
-	worker()
+	func() {
+		defer relay.Catch()
+		worker()
+	}()
 	wg.Wait()
+	relay.Rethrow()
 	st.RunSort = time.Duration(runSortNanos.Load())
 	if stop.Load() {
 		return ctx.Err()

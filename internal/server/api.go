@@ -90,9 +90,9 @@ type floatResult struct {
 
 // checkSorted validates ascending order. Generic because the binary
 // frame carries float64 arrays over the same endpoints as JSON's int64.
-// Float64 NaN handling is unspecified (docs/WIRE.md): a NaN-bearing
-// array may be accepted or rejected, and merges over one have no
-// defined order.
+// Float64 arrays reach it NaN-free: decodeFrame rejects a NaN-bearing
+// frame with a 400 first (docs/WIRE.md), so cmp.Less here and the
+// kernels' < agree on one order, with ±0 equal.
 func checkSorted[T cmp.Ordered](name string, s []T) error {
 	if !slices.IsSorted(s) {
 		return fmt.Errorf("input %q is not sorted", name)

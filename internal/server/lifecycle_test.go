@@ -1,9 +1,12 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"net/http"
+	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -268,5 +271,55 @@ func TestCoalescedPairFaultIsolation(t *testing.T) {
 	// Sorts are un-faulted and must still work.
 	if code := post(t, ts, "/v1/sort", SortRequest{Data: []int64{2, 1}}, nil); code != http.StatusOK {
 		t.Fatalf("sort after merge fault: status %d", code)
+	}
+}
+
+// goid returns the calling goroutine's id as printed in its stack
+// header ("goroutine 7 [running]:").
+func goid() string {
+	var buf [64]byte
+	return string(bytes.Fields(buf[:runtime.Stack(buf[:], false)])[1])
+}
+
+// TestWorkerPanicIsPerJob500 runs a round whose comparator panics only
+// on worker 1's goroutine through the pool: the panic must come back to
+// the dispatcher's per-job recover as that job's 500, counted, and the
+// daemon must keep serving.
+func TestWorkerPanicIsPerJob500(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 2})
+	r := httptest.NewRequest(http.MethodPost, "/v1/merge", nil)
+	j := s.newJob("merge", r)
+	a, b := make([]int64, 500), make([]int64, 500)
+	for i := range a {
+		a[i], b[i] = int64(2*i), int64(2*i+1)
+	}
+	j.elems = len(a) + len(b)
+	boom := errors.New("less panicked on worker 1")
+	j.run = func(ctx context.Context, _ int) error {
+		caller := goid() // the dispatcher: worker 0 of the round
+		less := func(x, y int64) bool {
+			if goid() != caller {
+				panic(boom)
+			}
+			return x < y
+		}
+		pairs := []core.Pair[int64]{{A: a, B: b, Out: make([]int64, j.elems)}}
+		_, err := core.MergeRoundFunc(ctx, pairs, 2, nil, less)
+		return err
+	}
+	status, err := s.execute(r, j)
+	var pe *PanicError
+	if status != http.StatusInternalServerError || !errors.As(err, &pe) || pe.Value != boom {
+		t.Fatalf("status %d err %v, want 500 carrying the worker's panic", status, err)
+	}
+	if got := s.Snapshot().Pool.PanicsRecovered; got != 1 {
+		t.Fatalf("panics_recovered = %d, want 1", got)
+	}
+	var got MergeResponse
+	if code := post(t, ts, "/v1/merge", MergeRequest{A: a, B: b}, &got); code != http.StatusOK {
+		t.Fatalf("merge after the worker panic: status %d", code)
+	}
+	if !verify.Equal(got.Result, verify.ReferenceMerge(a, b)) {
+		t.Fatal("merge after the worker panic returned wrong bytes")
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -434,6 +435,52 @@ func TestHealthzAdvertisesFormats(t *testing.T) {
 	for f, seen := range want {
 		if !seen {
 			t.Errorf("/healthz formats missing %q (got %v)", f, h.Formats)
+		}
+	}
+}
+
+// TestWireFloat64NaNRejected pins the float64 order contract: a binary
+// frame carrying any NaN — quiet or signaling, at the front or in the
+// middle of a run — is a 400 on every array endpoint, before any
+// kernel sees it, while ±0 and ±Inf stay valid inputs that merge to the
+// reference bytes.
+func TestWireFloat64NaNRejected(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 2})
+	nan, snan := math.NaN(), math.Float64frombits(0x7ff0_0000_0000_0001)
+	cases := []struct {
+		path  string
+		lists [][]float64
+	}{
+		{"/v1/sort", [][]float64{{3, nan, 1}}},
+		{"/v1/sort", [][]float64{{snan}}},
+		{"/v1/merge", [][]float64{{nan, 1, 2}, {0, 5}}},
+		{"/v1/merge", [][]float64{{1, 2}, {0, snan, 5}}},
+		{"/v1/mergek", [][]float64{{1, 2}, {0, 5}, {3, nan, 4}}},
+		{"/v1/mergek", [][]float64{{nan}}},
+	}
+	for _, tc := range cases {
+		st, _, body := doRaw(t, ts, tc.path, wire.ContentType, wire.ContentType, wire.AppendFloat64(nil, tc.lists...))
+		if st != http.StatusBadRequest || !strings.Contains(string(body), "NaN") {
+			t.Errorf("%s %v: status %d body %s, want 400 naming NaN", tc.path, tc.lists, st, body)
+		}
+	}
+	negZero, inf := math.Copysign(0, -1), math.Inf(1)
+	a := []float64{-inf, negZero, 0, 1, inf}
+	b := []float64{-inf, 0, negZero, inf}
+	st, _, bin := doRaw(t, ts, "/v1/merge", wire.ContentType, wire.ContentType, wire.AppendFloat64(nil, a, b))
+	if st != http.StatusOK {
+		t.Fatalf("±0/±Inf merge: status %d", st)
+	}
+	fr, err := wire.Decode(bytes.NewReader(bin), wire.Limits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fr.Release()
+	// Bit-exact, so a -0/+0 swap against the stable reference shows.
+	want := verify.ReferenceMerge(a, b)
+	for i, v := range fr.Floats[0] {
+		if math.Float64bits(v) != math.Float64bits(want[i]) {
+			t.Fatalf("±0/±Inf merge = %v, want %v", fr.Floats[0], want)
 		}
 	}
 }

@@ -127,13 +127,17 @@ func drainBody(r *http.Request) {
 // decodeFrame reads a binary-frame request body into pooled arenas,
 // recording the decode span. Failures map like the JSON path's: bodies
 // over the byte cap or frames over the element limit are 413, malformed
-// frames 400. want is the exact list count the endpoint requires
+// frames 400. A float64 frame carrying a NaN is also 400: NaN has no
+// place in the total order every kernel merges by (JSON cannot carry
+// one either), so it is refused here instead of yielding a wrong
+// multiset later. want is the exact list count the endpoint requires
 // (negative = any). On success the caller owns the frame and must
 // Release it.
 func (s *Server) decodeFrame(r *http.Request, want int) (*wire.Frame, int, error) {
-	t0 := time.Now()
+	// The decode span covers the NaN scan too: it is part of reading
+	// the request, not of the round.
+	defer traceFrom(r.Context()).span(StageDecode, time.Now())
 	f, err := wire.Decode(r.Body, wire.Limits{MaxElements: int(s.cfg.MaxBodyBytes / 8)})
-	traceFrom(r.Context()).span(StageDecode, t0)
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
@@ -148,5 +152,21 @@ func (s *Server) decodeFrame(r *http.Request, want int) (*wire.Frame, int, error
 		f.Release()
 		return nil, http.StatusBadRequest, fmt.Errorf("frame carries %d lists; this endpoint takes exactly %d", f.Lists(), want)
 	}
+	for i, list := range f.Floats {
+		if j := indexNaN(list); j >= 0 {
+			f.Release()
+			return nil, http.StatusBadRequest, fmt.Errorf("frame list %d carries NaN at element %d; float64 inputs must be NaN-free", i, j)
+		}
+	}
 	return f, 0, nil
+}
+
+// indexNaN returns the index of the first NaN in s, or -1.
+func indexNaN(s []float64) int {
+	for i, x := range s {
+		if x != x {
+			return i
+		}
+	}
+	return -1
 }

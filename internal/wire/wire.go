@@ -5,12 +5,17 @@
 // JSON decode is a top-two latency stage on the service (BENCH_server:
 // parsing numbers costs more than merging them), so the frame carries
 // int64/float64 arrays as raw little-endian payloads behind an 8-byte
-// header and a per-list length table. Decode streams the payload
-// chunk-by-chunk straight into one sync.Pool-recycled arena — a frame
-// with k lists costs one pooled allocation, not k, and the bytes never
-// materialize twice — and Encode writes straight from the result slice
-// with no intermediate buffer. Callers return arenas with
-// Frame.Release / PutInt64 / PutFloat64 once the response is written.
+// header and a per-list length table. Decode sizes one
+// sync.Pool-recycled arena from the validated length table — a frame
+// with k lists costs one pooled allocation, not k — and, on a
+// little-endian host, reads the whole payload straight into the arena's
+// bytes with one io.ReadFull (internal/lebytes). Encode writes the
+// header and length table in one Write and then each list's own bytes
+// in one Write each, with no intermediate buffer. Any other host keeps
+// the portable path: the payload moves through a pooled 64 KiB chunk,
+// converted one element at a time, and yields the same bytes. Callers
+// return arenas with Frame.Release / PutInt64 / PutFloat64 once the
+// response is written.
 //
 // Layout (all integers little-endian):
 //
@@ -35,6 +40,8 @@ import (
 	"math"
 	"math/bits"
 	"sync"
+
+	"mergepath/internal/lebytes"
 )
 
 // ContentType is the MIME type that selects the binary frame on the /v1
@@ -162,9 +169,9 @@ func (f *Frame) Release() {
 	}
 }
 
-// chunkBytes is the streaming unit for both directions: big enough to
-// amortize Read/Write calls, small enough to stay pool-friendly. A
-// multiple of 8 so chunks never split an element.
+// chunkBytes is the portable path's streaming unit in both directions:
+// big enough to amortize Read/Write calls, small enough to stay
+// pool-friendly. A multiple of 8 so chunks never split an element.
 const chunkBytes = 64 << 10
 
 var chunkPool = sync.Pool{New: func() any { b := make([]byte, chunkBytes); return &b }}
@@ -233,12 +240,19 @@ func truncated(err error) error {
 	return err
 }
 
-// Decode reads one complete frame from r into a pooled arena,
-// streaming the payload in 64 KiB chunks. The length table is checked
-// against lim before any allocation. The body must end exactly at the
-// payload's last byte; anything further is ErrTrailing. Call
-// frame.Release when done with the lists.
+// Decode reads one complete frame from r into a pooled arena. The
+// length table is checked against lim before any allocation. The body
+// must end exactly at the payload's last byte; anything further is
+// ErrTrailing. Call frame.Release when done with the lists.
 func Decode(r io.Reader, lim Limits) (*Frame, error) {
+	return decode(r, lim, lebytes.Native())
+}
+
+// decode is Decode with the payload path chosen by the caller: zeroCopy
+// reads straight into the arena's bytes and is only correct on a
+// little-endian host; false selects the portable per-element path,
+// which tests force to keep it covered on every host.
+func decode(r io.Reader, lim Limits, zeroCopy bool) (*Frame, error) {
 	maxElems := lim.MaxElements
 	if maxElems <= 0 {
 		maxElems = DefaultMaxElements
@@ -281,17 +295,13 @@ func Decode(r io.Reader, lim Limits) (*Frame, error) {
 	switch t {
 	case Int64:
 		f.arenaI = GetInt64(int(total))
-		err = readPayload(r, f.arenaI, func(b []byte) int64 {
-			return int64(binary.LittleEndian.Uint64(b))
-		})
+		err = readPayload(r, f.arenaI, zeroCopy)
 		if err == nil {
 			f.Ints = split(f.arenaI, lengths)
 		}
 	case Float64:
 		f.arenaF = GetFloat64(int(total))
-		err = readPayload(r, f.arenaF, func(b []byte) float64 {
-			return math.Float64frombits(binary.LittleEndian.Uint64(b))
-		})
+		err = readPayload(r, f.arenaF, zeroCopy)
 		if err == nil {
 			f.Floats = split(f.arenaF, lengths)
 		}
@@ -306,27 +316,26 @@ func Decode(r io.Reader, lim Limits) (*Frame, error) {
 	return f, nil
 }
 
-// readPayload streams len(dst)*8 bytes from r through a pooled chunk
-// into dst.
-func readPayload[T int64 | float64](r io.Reader, dst []T, from func([]byte) T) error {
-	if len(dst) == 0 {
+// readPayload fills dst with the next 8*len(dst) payload bytes of r:
+// one io.ReadFull into dst's own bytes when zeroCopy, else through a
+// pooled chunk, converted one element at a time.
+func readPayload[T int64 | float64](r io.Reader, dst []T, zeroCopy bool) error {
+	if zeroCopy {
+		if _, err := io.ReadFull(r, lebytes.Of(dst)); err != nil {
+			return truncated(err)
+		}
 		return nil
 	}
 	bp := chunkPool.Get().(*[]byte)
 	defer chunkPool.Put(bp)
 	buf := *bp
-	for idx := 0; idx < len(dst); {
-		c := (len(dst) - idx) * 8
-		if c > chunkBytes {
-			c = chunkBytes
-		}
-		if _, err := io.ReadFull(r, buf[:c]); err != nil {
+	for len(dst) > 0 {
+		n := min(len(dst), chunkBytes/8)
+		if _, err := io.ReadFull(r, buf[:8*n]); err != nil {
 			return truncated(err)
 		}
-		for off := 0; off < c; off += 8 {
-			dst[idx] = from(buf[off : off+8])
-			idx++
-		}
+		lebytes.Get(dst[:n], buf)
+		dst = dst[n:]
 	}
 	return nil
 }
@@ -366,62 +375,58 @@ func Size(listLens ...int) int64 {
 	return headerSize + 8*int64(len(listLens)) + 8*total
 }
 
-// EncodeInt64 writes one Int64 frame carrying the given lists to w,
-// streaming through a pooled chunk (no whole-payload buffer).
+// EncodeInt64 writes one Int64 frame carrying the given lists to w:
+// the header and length table in one Write, then, on a little-endian
+// host, each non-empty list's own bytes in one Write (no whole-frame
+// buffer).
 func EncodeInt64(w io.Writer, lists ...[]int64) error {
-	return encode(w, Int64, lists, func(b []byte, v int64) {
-		binary.LittleEndian.PutUint64(b, uint64(v))
-	})
+	return encode(w, Int64, lists, lebytes.Native())
 }
 
 // EncodeFloat64 writes one Float64 frame carrying the given lists to w.
 func EncodeFloat64(w io.Writer, lists ...[]float64) error {
-	return encode(w, Float64, lists, func(b []byte, v float64) {
-		binary.LittleEndian.PutUint64(b, math.Float64bits(v))
-	})
+	return encode(w, Float64, lists, lebytes.Native())
 }
 
-func encode[T int64 | float64](w io.Writer, t Type, lists [][]T, put func([]byte, T)) error {
+// encode writes one frame. zeroCopy writes each list's own bytes and is
+// only correct on a little-endian host; false selects the portable path
+// through a pooled chunk, which tests force to keep it covered.
+func encode[T int64 | float64](w io.Writer, t Type, lists [][]T, zeroCopy bool) error {
 	if len(lists) > math.MaxUint16 {
 		return fmt.Errorf("%w: %d > %d", ErrTooManyLists, len(lists), math.MaxUint16)
+	}
+	hdr := make([]byte, headerSize+8*len(lists))
+	copy(hdr, magic[:])
+	hdr[4] = Version
+	hdr[5] = byte(t)
+	binary.LittleEndian.PutUint16(hdr[6:8], uint16(len(lists)))
+	for i, list := range lists {
+		binary.LittleEndian.PutUint64(hdr[headerSize+8*i:], uint64(len(list)))
+	}
+	if _, err := w.Write(hdr); err != nil {
+		return err
+	}
+	if zeroCopy {
+		for _, list := range lists {
+			if len(list) > 0 {
+				if _, err := w.Write(lebytes.Of(list)); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
 	}
 	bp := chunkPool.Get().(*[]byte)
 	defer chunkPool.Put(bp)
 	buf := *bp
-	// Header + length table first; the table fits the chunk only up to
-	// ~8K lists, so flush it in chunk-sized pieces like the payload.
-	copy(buf, magic[:])
-	buf[4] = Version
-	buf[5] = byte(t)
-	binary.LittleEndian.PutUint16(buf[6:8], uint16(len(lists)))
-	fill := headerSize
-	flush := func(need int) error {
-		if fill+need <= chunkBytes {
-			return nil
-		}
-		_, err := w.Write(buf[:fill])
-		fill = 0
-		return err
-	}
 	for _, list := range lists {
-		if err := flush(8); err != nil {
-			return err
-		}
-		binary.LittleEndian.PutUint64(buf[fill:], uint64(len(list)))
-		fill += 8
-	}
-	for _, list := range lists {
-		for _, v := range list {
-			if err := flush(8); err != nil {
+		for len(list) > 0 {
+			n := min(len(list), chunkBytes/8)
+			lebytes.Put(buf, list[:n])
+			if _, err := w.Write(buf[:8*n]); err != nil {
 				return err
 			}
-			put(buf[fill:fill+8], v)
-			fill += 8
-		}
-	}
-	if fill > 0 {
-		if _, err := w.Write(buf[:fill]); err != nil {
-			return err
+			list = list[n:]
 		}
 	}
 	return nil

@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt-check test race verify cover bench bench-kway experiments fmt serve loadtest loadtest-wire chaos soak lint-docs fuzz-wire fuzz-sort fuzz-kway kway-diff cluster cluster-quick jobs-soak jobs-soak-quick restart-quick restart-soak corrupt-check be-check
+.PHONY: all build vet fmt-check test race verify cover bench bench-kway experiments fmt serve loadtest loadtest-wire chaos soak lint-docs fuzz-wire fuzz-sort fuzz-kway kway-diff spawn-check cluster cluster-quick jobs-soak jobs-soak-quick restart-quick restart-soak corrupt-check be-check
 
 all: build vet test
 
@@ -43,6 +43,17 @@ lint-docs:
 kway-diff:
 	$(GO) test -run 'TestMergeIntoMatchesHeap|TestMergeIntoSignedZeroTies|TestCoRank' -count=1 ./internal/kway
 
+# Fan-out gate: core.Fork (internal/core/fork.go) is the one place the
+# compute kernels start goroutines, so panic relay and any later worker
+# pool live in one function. Fails listing every go statement in a
+# non-test file of core, kway, psort, setops, spm or batch outside it.
+SPAWN_PKGS = core kway psort setops spm batch
+spawn-check:
+	@out=$$(for p in $(SPAWN_PKGS); do ls internal/$$p/*.go; done | grep -v '_test\.go$$' | \
+		grep -v '^internal/core/fork\.go$$' | \
+		xargs grep -nE '(^|[{;])[[:space:]]*go[[:space:]]+[A-Za-z_(]'); \
+	if [ -n "$$out" ]; then echo "go statement outside core.Fork:"; echo "$$out"; exit 1; fi
+
 # Short coverage-guided fuzz of the binary frame decoder: truncated,
 # oversized and corrupt frames must error cleanly (no panic, no
 # over-allocation), and every accepted frame must re-encode to the
@@ -73,7 +84,7 @@ be-check:
 	GOARCH=s390x $(GO) vet ./...
 
 # Full pre-merge gate: build, vet, the gofmt check (fmt-check), unit
-# tests, godoc audit, race suite (which includes the fault-injection
+# tests, godoc audit, the fan-out gate (spawn-check), race suite (which includes the fault-injection
 # lifecycle tests in internal/server and internal/fault), short fuzz
 # passes over the wire decoder, the psort radix leaf and the k-way
 # merged output, a chaos pass against a live in-process daemon, the
@@ -85,7 +96,7 @@ be-check:
 # overload/breaker soak is its own target (`make soak`); the
 # multi-process cluster is `make cluster`; the extended jobs soak is
 # `make jobs-soak`; the real SIGKILL restart soak is `make restart-soak`.
-verify: build vet fmt-check test lint-docs kway-diff race fuzz-wire fuzz-sort fuzz-kway chaos cluster-quick jobs-soak-quick restart-quick be-check
+verify: build vet fmt-check test lint-docs kway-diff spawn-check race fuzz-wire fuzz-sort fuzz-kway chaos cluster-quick jobs-soak-quick restart-quick be-check
 
 cover:
 	$(GO) test -cover ./...

@@ -79,19 +79,14 @@ func BenchmarkPartition(b *testing.B) {
 	}
 }
 
-// BenchmarkSearchVariants is the search-formulation ablation: co-rank
-// lower-bound vs the paper's matrix-transition bisection.
+// BenchmarkSearchVariants times one co-rank diagonal search at the
+// middle diagonal of a benchN pair.
 func BenchmarkSearchVariants(b *testing.B) {
 	x, y, _ := benchPair(b, benchN)
 	k := benchN // middle diagonal
 	b.Run("corank", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			core.SearchDiagonal(x, y, k)
-		}
-	})
-	b.Run("matrix", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			core.SearchDiagonalMatrix(x, y, k)
 		}
 	})
 }

@@ -24,7 +24,7 @@ package batch
 import (
 	"cmp"
 	"context"
-	"sync"
+	"sync/atomic"
 
 	"mergepath/internal/core"
 )
@@ -65,26 +65,25 @@ func roundPairs[T cmp.Ordered](pairs []Pair[T]) []core.Pair[T] {
 	return out
 }
 
-// MergeNaive merges the pairs with one goroutine per pair (up to p at a
-// time) — the per-pair scheduling baseline the balance experiment compares
-// against. Exported for benchmarks and tests.
+// MergeNaive merges the pairs with p workers that each take whole
+// pairs, one at a time, from a shared counter — the per-pair
+// scheduling baseline the balance experiment compares against: one
+// large pair still lands on a single worker. Exported for benchmarks
+// and tests.
 func MergeNaive[T cmp.Ordered](pairs []Pair[T], p int) {
 	if p < 1 {
 		panic("batch: worker count must be positive")
 	}
-	sem := make(chan struct{}, p)
-	var wg sync.WaitGroup
-	wg.Add(len(pairs))
 	for _, pr := range pairs {
 		if len(pr.Out) != len(pr.A)+len(pr.B) {
 			panic("batch: output length mismatch")
 		}
-		sem <- struct{}{}
-		go func(pr Pair[T]) {
-			defer wg.Done()
-			core.Merge(pr.A, pr.B, pr.Out)
-			<-sem
-		}(pr)
 	}
-	wg.Wait()
+	var next atomic.Int64
+	core.Fork(min(p, len(pairs)), func(int) {
+		for i := int(next.Add(1) - 1); i < len(pairs); i = int(next.Add(1) - 1) {
+			pr := pairs[i]
+			core.Merge(pr.A, pr.B, pr.Out)
+		}
+	})
 }

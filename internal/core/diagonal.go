@@ -85,44 +85,6 @@ func SearchDiagonalFunc[T any](a, b []T, k int, less func(x, y T) bool) Point {
 	return Point{A: lo, B: k - lo}
 }
 
-// SearchDiagonalMatrix is the paper's own formulation of the diagonal
-// search (Proposition 13): walk the cross diagonal of the binary merge
-// matrix M[i,j] = (a[i] > b[j]) by bisection, looking for the highest point
-// whose left neighbour is 1 — i.e. the 1->0 transition. It is algebraically
-// identical to SearchDiagonal and exists so the two formulations can be
-// property-tested against each other and benchmarked (see the "search
-// variant" ablation in DESIGN.md).
-func SearchDiagonalMatrix[T cmp.Ordered](a, b []T, k int) Point {
-	if k < 0 || k > len(a)+len(b) {
-		panic("core: diagonal index out of range")
-	}
-	// Points on diagonal k are (i, j) with i+j = k. Parameterize by i, the
-	// a-co-rank, valid over [lo, hi] as in SearchDiagonal. M at the grid cell
-	// "entered" by co-rank i is M[i, k-i-1] = (a[i] > b[k-i-1]), defined for
-	// lo <= i < hi; the sequence over increasing i is non-decreasing in this
-	// parameterization (it reverses the diagonal's geometric order), so we
-	// bisect for its first 1.
-	lo := k - len(b)
-	if lo < 0 {
-		lo = 0
-	}
-	hi := k
-	if hi > len(a) {
-		hi = len(a)
-	}
-	low, high := lo, hi
-	for low < high {
-		mid := int(uint(low+high) >> 1)
-		one := a[mid] > b[k-mid-1] // M[mid, k-mid-1]
-		if one {
-			high = mid
-		} else {
-			low = mid + 1
-		}
-	}
-	return Point{A: low, B: k - low}
-}
-
 // SearchRank returns the co-rank point splitting the merged output of a and
 // b into its first k elements and the rest. It is an alias for
 // SearchDiagonal provided for call sites that think in output ranks (the

@@ -87,24 +87,6 @@ func TestSearchDiagonalMatchesPath(t *testing.T) {
 	}
 }
 
-func TestSearchDiagonalMatrixAgrees(t *testing.T) {
-	// Ablation: the paper's matrix-transition formulation must agree with the
-	// co-rank lower-bound formulation on every diagonal.
-	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 200; trial++ {
-		na, nb := rng.Intn(30), rng.Intn(30)
-		a, b := workload.Pair(workload.Kind(workload.Kinds()[trial%len(workload.Kinds())]), na, nb, int64(trial))
-		for k := 0; k <= na+nb; k++ {
-			p1 := SearchDiagonal(a, b, k)
-			p2 := SearchDiagonalMatrix(a, b, k)
-			if p1 != p2 {
-				t.Fatalf("kind=%v na=%d nb=%d k=%d: SearchDiagonal %+v != SearchDiagonalMatrix %+v",
-					workload.Kinds()[trial%len(workload.Kinds())], na, nb, k, p1, p2)
-			}
-		}
-	}
-}
-
 func TestSearchDiagonalFuncAgrees(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	less := func(x, y int32) bool { return x < y }
@@ -232,11 +214,6 @@ func BenchmarkSearchDiagonal(bench *testing.B) {
 	bench.Run("corank", func(bench *testing.B) {
 		for i := 0; i < bench.N; i++ {
 			SearchDiagonal(a, b, len(a))
-		}
-	})
-	bench.Run("matrix", func(bench *testing.B) {
-		for i := 0; i < bench.N; i++ {
-			SearchDiagonalMatrix(a, b, len(a))
 		}
 	})
 }

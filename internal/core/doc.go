@@ -18,11 +18,16 @@
 // This package provides the diagonal search (SearchDiagonal), balanced
 // partitioning of a merge into any number of independent jobs (Partition),
 // sequential merge kernels, and the paper's Algorithm 1 (Parallel Merge),
-// which merges with p goroutines, no locks, and no inter-worker
+// which merges with p workers, no locks, and no inter-worker
 // communication. MergeRound applies Algorithm 1 to a whole list of pairs
 // at once, cutting their combined output at equal ranks; ParallelMerge
 // is its one-pair case, and every parallel merge round in the
 // repository's batch, sort, k-way and service layers is one MergeRound.
+//
+// Fork is the one fan-out behind every parallel kernel here and in the
+// kway, psort, setops, spm and batch packages: p workers, worker 0 on
+// the caller and the rest on goroutines, one terminal barrier, and a
+// worker panic re-raised on the caller once every worker has returned.
 //
 // Convention and stability: we resolve ties by consuming from A first
 // (the path moves right only when A[i] > B[j], exactly as in the paper's

@@ -63,9 +63,9 @@ func FuzzSearchDiagonalInvariant(f *testing.F) {
 		if pt.B > 0 && pt.A < len(a) && b[pt.B-1] >= a[pt.A] {
 			t.Fatalf("invariant 2: a=%v b=%v k=%d pt=%+v", a, b, k, pt)
 		}
-		// Cross-check against the matrix formulation.
-		if alt := SearchDiagonalMatrix(a, b, k); alt != pt {
-			t.Fatalf("formulations disagree: %+v vs %+v", pt, alt)
+		// Cross-check against the explicit merge path.
+		if want := Path(a, b)[k]; want != pt {
+			t.Fatalf("search %+v, path %+v", pt, want)
 		}
 	})
 }

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"cmp"
-	"sync"
-)
+import "cmp"
 
 // This file implements the two-level ("hierarchical") refinement of
 // Algorithm 1 that the merge-path technique became best known for in its
@@ -52,56 +49,26 @@ func HierarchicalMerge[T cmp.Ordered](a, b, out []T, cfg HierarchicalConfig) {
 	// searches, performed in parallel exactly as Theorem 14 permits.
 	coarse := make([]Point, blocks+1)
 	coarse[blocks] = Point{A: len(a), B: len(b)}
-	var wg sync.WaitGroup
-	wg.Add(blocks - 1)
-	for i := 1; i < blocks; i++ {
-		go func(i int) {
-			defer wg.Done()
-			coarse[i] = SearchDiagonal(a, b, i*total/blocks)
-		}(i)
-	}
-	wg.Wait()
+	Fork(blocks-1, func(w int) {
+		coarse[w+1] = SearchDiagonal(a, b, (w+1)*total/blocks)
+	})
 
 	// Level 2: each block's team re-partitions locally and merges.
-	wg.Add(blocks)
-	for blk := 0; blk < blocks; blk++ {
-		go func(blk int) {
-			defer wg.Done()
-			lo, hi := coarse[blk], coarse[blk+1]
-			subA := a[lo.A:hi.A]
-			subB := b[lo.B:hi.B]
-			subOut := out[lo.Diagonal():hi.Diagonal()]
-			teamMerge(subA, subB, subOut, team)
-		}(blk)
-	}
-	wg.Wait()
+	Fork(blocks, func(blk int) {
+		lo, hi := coarse[blk], coarse[blk+1]
+		teamMerge(a[lo.A:hi.A], b[lo.B:hi.B], out[lo.Diagonal():hi.Diagonal()], team)
+	})
 }
 
 // teamMerge merges one block with t workers using local diagonal searches.
 func teamMerge[T cmp.Ordered](a, b, out []T, t int) {
 	total := len(a) + len(b)
-	if total == 0 {
-		return
-	}
-	if t > total {
-		t = total
-	}
-	if t == 1 {
-		MergeSteps(a, b, Point{}, total, out)
-		return
-	}
-	var wg sync.WaitGroup
-	wg.Add(t)
-	for w := 0; w < t; w++ {
-		go func(w int) {
-			defer wg.Done()
-			lo := w * total / t
-			hi := (w + 1) * total / t
-			start := SearchDiagonal(a, b, lo) // local: bisects <= block size
-			MergeSteps(a, b, start, hi-lo, out[lo:hi])
-		}(w)
-	}
-	wg.Wait()
+	t = min(t, total)
+	Fork(t, func(w int) {
+		lo, hi := w*total/t, (w+1)*total/t
+		start := SearchDiagonal(a, b, lo) // local: bisects <= block size
+		MergeSteps(a, b, start, hi-lo, out[lo:hi])
+	})
 }
 
 // PartitionRanks generalizes Partition to an arbitrary ascending list of

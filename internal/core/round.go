@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"context"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -120,27 +119,7 @@ func mergeRound[T any](ctx context.Context, pairs []Pair[T], p int, ws []WorkerS
 		r.ws = ws[:r.p]
 		clear(r.ws)
 	}
-	// Workers 1..p-1 get goroutines; worker 0 runs on the caller. A
-	// panic in any worker waits for the rest, then re-raises on the
-	// caller, where a server's per-job recover can see it.
-	var relay PanicRelay
-	var wg sync.WaitGroup
-	for w := 1; w < r.p; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			defer relay.Catch()
-			r.work(w)
-		}(w)
-	}
-	if r.p > 0 {
-		func() {
-			defer relay.Catch()
-			r.work(0)
-		}()
-	}
-	wg.Wait()
-	relay.Rethrow()
+	Fork(r.p, r.work)
 	if r.stop.Load() {
 		return r.ws, ctx.Err()
 	}

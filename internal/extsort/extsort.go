@@ -15,8 +15,7 @@ import (
 // output at the minimum fan-in of two.
 const MinMemoryRecords = 6
 
-// DefaultFanIn is the widest fan-in the pass plan picks when
-// Config.FanIn is zero. A 64-way window merge costs about as much per
+// DefaultFanIn is the widest fan-in the pass plan picks. A 64-way window merge costs about as much per
 // element as two 8-way ones and a 32-way one clearly less
 // (BenchmarkKWayKernel in internal/kway), while every pass saved is one
 // read and one write of the whole dataset.
@@ -34,13 +33,6 @@ type Config struct {
 	// Workers is the parallelism of the in-memory phases (run sorting
 	// and in-window merging). Default 1.
 	Workers int
-	// FanIn is the number of runs merged per merge-tree node. Higher
-	// fan-in means fewer passes over the data (ceil(log_F(runs)) instead
-	// of ceil(log2)) at the cost of smaller per-run windows. Zero plans
-	// it from MemoryRecords and the device's block size (see Sort); a
-	// nonzero value is clamped to [2, MemoryRecords/3] so every run keeps
-	// at least a one-record window.
-	FanIn int
 	// Progress, when non-nil, is called as the sort advances: done
 	// counts records processed so far across all phases (monotonically
 	// non-decreasing), total is the precomputed whole-sort record count,
@@ -56,8 +48,7 @@ type Stats struct {
 	// MergePasses is the number of merge passes over the data
 	// (ceil(log_FanIn(Runs))).
 	MergePasses int `json:"merge_passes"`
-	// FanIn is the effective merge-tree fan-in: planned, or the
-	// configured value after clamping.
+	// FanIn is the merge-tree fan-in the pass plan chose (see Sort).
 	FanIn int `json:"fan_in"`
 	// BlockReads is the total block reads charged against the device and
 	// the scratch device by this sort.
@@ -116,7 +107,8 @@ func (s *sorter[T]) advance(n int, phase string) {
 // of multi-way co-ranking. Total traffic is 2·N/B·(1 + ceil(log_F(N/M)))
 // block transfers plus rounding.
 //
-// With cfg.FanIn zero the fan-in is planned (planFanIn): the fewest
+// The fan-in F is planned from MemoryRecords and the device's block
+// size (planFanIn): the fewest
 // passes whose per-run window M/(3F) still holds one device block, then
 // the smallest F that reaches every run in that many passes. Run
 // formation writes to scratch when the pass count is odd, so the last
@@ -144,11 +136,7 @@ func Sort[T cmp.Ordered](ctx context.Context, dev, scratch Device[T], n int, cfg
 	if s.workers < 1 {
 		s.workers = 1
 	}
-	if cfg.FanIn == 0 {
-		s.fanIn = planFanIn(n, m, dev.BlockRecords())
-	} else {
-		s.fanIn = max(2, min(cfg.FanIn, m/3))
-	}
+	s.fanIn = planFanIn(n, m, dev.BlockRecords())
 	s.window = m / (3 * s.fanIn)
 	stats.FanIn = s.fanIn
 

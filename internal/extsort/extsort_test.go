@@ -83,14 +83,13 @@ func TestSortCorrectness(t *testing.T) {
 		m := MinMemoryRecords + rng.Intn(200)
 		block := 1 + rng.Intn(16)
 		p := 1 + rng.Intn(4)
-		fanIn := rng.Intn(10) // 0 = default
 		data := workload.Unsorted(rng, n)
 		dev := NewBlockDevice[int32](n, block)
 		dev.Load(data)
-		stats := sortMem(t, dev, n, Config{MemoryRecords: m, Workers: p, FanIn: fanIn})
+		stats := sortMem(t, dev, n, Config{MemoryRecords: m, Workers: p})
 		got := dev.Snapshot(n)
 		if !verify.Sorted(got) {
-			t.Fatalf("n=%d m=%d block=%d fanin=%d: not sorted", n, m, block, fanIn)
+			t.Fatalf("n=%d m=%d block=%d fanin=%d: not sorted", n, m, block, stats.FanIn)
 		}
 		if !verify.SameMultiset(got, data) {
 			t.Fatalf("n=%d m=%d: records lost", n, m)
@@ -100,7 +99,7 @@ func TestSortCorrectness(t *testing.T) {
 		}
 		if stats.PeakBufferRecords > m {
 			t.Fatalf("n=%d m=%d fanin=%d: peak buffer %d exceeds budget %d",
-				n, m, fanIn, stats.PeakBufferRecords, m)
+				n, m, stats.FanIn, stats.PeakBufferRecords, m)
 		}
 	}
 }
@@ -383,9 +382,9 @@ func TestSortCancellation(t *testing.T) {
 	}
 }
 
-// TestPlanFanIn pins the pass plan used when Config.FanIn is zero: the
-// fewest passes whose per-run window M/(3F) holds one block, then the
-// smallest fan-in that still reaches every run in that many passes.
+// TestPlanFanIn pins the pass plan: the fewest passes whose per-run
+// window M/(3F) holds one block, then the smallest fan-in that still
+// reaches every run in that many passes.
 func TestPlanFanIn(t *testing.T) {
 	for _, c := range []struct {
 		n, m, block   int
@@ -410,31 +409,35 @@ func TestPlanFanIn(t *testing.T) {
 
 // TestSortOddPassesLandOnDev sorts file-backed data through one and
 // through three merge passes: run formation writes to scratch when the
-// pass count is odd, so the sorted result must still end on dev.
+// pass count is odd, so the sorted result must still end on dev. The
+// device block size steers the plan: at M = 1536, 64-record blocks
+// allow one 8-way pass over the 8 runs, while 256-record blocks cap the
+// fan-in at M/(3·256) = 2, so three binary passes.
 func TestSortOddPassesLandOnDev(t *testing.T) {
 	const m, n = 1536, 8 * 1536
 	dir := t.TempDir()
 	data := differentialInputs["random"](rand.New(rand.NewSource(157)), n)
 	want := append([]int64(nil), data...)
 	psort.Sort(want, 2)
-	for _, c := range []struct{ fanIn, passes int }{{0, 1}, {2, 3}} {
-		dev, err := CreateFileDevice(filepath.Join(dir, "data.bin"), n, 64)
+	for _, c := range []struct{ block, fanIn, passes int }{{64, 8, 1}, {256, 2, 3}} {
+		dev, err := CreateFileDevice(filepath.Join(dir, "data.bin"), n, c.block)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := dev.Write(0, data); err != nil {
 			t.Fatal(err)
 		}
-		scratch, err := CreateFileDevice(filepath.Join(dir, "scratch.bin"), n, 64)
+		scratch, err := CreateFileDevice(filepath.Join(dir, "scratch.bin"), n, c.block)
 		if err != nil {
 			t.Fatal(err)
 		}
-		stats, err := Sort[int64](bg, dev, scratch, n, Config{MemoryRecords: m, Workers: 2, FanIn: c.fanIn})
+		stats, err := Sort[int64](bg, dev, scratch, n, Config{MemoryRecords: m, Workers: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if stats.MergePasses != c.passes {
-			t.Fatalf("fan-in %d: %d passes, want %d", c.fanIn, stats.MergePasses, c.passes)
+		if stats.FanIn != c.fanIn || stats.MergePasses != c.passes {
+			t.Fatalf("block %d: %d passes at fan-in %d, want %d at %d",
+				c.block, stats.MergePasses, stats.FanIn, c.passes, c.fanIn)
 		}
 		got := make([]int64, n)
 		if err := dev.Read(0, got); err != nil {

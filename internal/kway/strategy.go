@@ -5,7 +5,6 @@ import (
 	"context"
 	"fmt"
 	"math/bits"
-	"sync"
 
 	"mergepath/internal/core"
 )
@@ -149,8 +148,8 @@ func coRankMergeInto[T cmp.Ordered](dst []T, lists [][]T, p int, st *Stats) {
 }
 
 // mergeCoRankWindows cuts lists at p-1 equispaced output ranks and
-// merges the p windows into dst, one goroutine each when p > 1; it
-// returns each window's element count.
+// merges the p windows into dst, one core.Fork worker each; it returns
+// each window's element count.
 func mergeCoRankWindows[T cmp.Ordered](dst []T, lists [][]T, p int) []int {
 	total := len(dst)
 	cuts := make([][]int, p+1)
@@ -164,27 +163,11 @@ func mergeCoRankWindows[T cmp.Ordered](dst []T, lists [][]T, p int) []int {
 		cuts[w] = CoRank(lists, w*total/p)
 	}
 	loads := make([]int, p)
-	if p == 1 {
-		loads[0] = total
-		mergeWindows(dst, lists, cuts[0], cuts[1])
-		return loads
-	}
-	// A panic in a window waits for the rest, then re-raises on the
-	// caller, where a server's per-job recover can see it.
-	var relay core.PanicRelay
-	var wg sync.WaitGroup
-	for w := 0; w < p; w++ {
+	core.Fork(p, func(w int) {
 		start, end := w*total/p, (w+1)*total/p
 		loads[w] = end - start
-		wg.Add(1)
-		go func(w, start, end int) {
-			defer wg.Done()
-			defer relay.Catch()
-			mergeWindows(dst[start:end], lists, cuts[w], cuts[w+1])
-		}(w, start, end)
-	}
-	wg.Wait()
-	relay.Rethrow()
+		mergeWindows(dst[start:end], lists, cuts[w], cuts[w+1])
+	})
 	return loads
 }
 

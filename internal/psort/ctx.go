@@ -3,7 +3,6 @@ package psort
 import (
 	"cmp"
 	"context"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -135,7 +134,7 @@ func sortRounds[T any](ctx context.Context, s []T, p int, timed bool, seq func(s
 func sortRuns[T any](ctx context.Context, s, scratch []T, runLen, p int, st *SortStats, timed bool, seq func(s, scratch []T)) error {
 	var stop atomic.Bool
 	var runSortNanos, next atomic.Int64
-	worker := func() {
+	core.Fork(p, func(int) {
 		var t0 time.Time
 		if timed {
 			t0 = time.Now()
@@ -155,26 +154,7 @@ func sortRuns[T any](ctx context.Context, s, scratch []T, runLen, p int, st *Sor
 		if timed {
 			runSortNanos.Add(int64(time.Since(t0)))
 		}
-	}
-	// Workers 1..p-1 get goroutines; worker 0 runs on the caller. A
-	// panic in any worker waits for the rest, then re-raises on the
-	// caller, where a server's per-job recover can see it.
-	var relay core.PanicRelay
-	var wg sync.WaitGroup
-	for w := 1; w < p; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer relay.Catch()
-			worker()
-		}()
-	}
-	func() {
-		defer relay.Catch()
-		worker()
-	}()
-	wg.Wait()
-	relay.Rethrow()
+	})
 	st.RunSort = time.Duration(runSortNanos.Load())
 	if stop.Load() {
 		return ctx.Err()

@@ -27,7 +27,6 @@ package setops
 
 import (
 	"cmp"
-	"sync"
 
 	"mergepath/internal/core"
 )
@@ -70,15 +69,9 @@ func run[T cmp.Ordered](a, b []T, p int, walk walkFunc[T]) []T {
 	}
 	bounds := core.Partition(a, b, p)
 	parts := make([][]T, p)
-	var wg sync.WaitGroup
-	wg.Add(p)
-	for i := 0; i < p; i++ {
-		go func(i int) {
-			defer wg.Done()
-			parts[i] = walk(a, b, bounds[i], bounds[i+1], nil)
-		}(i)
-	}
-	wg.Wait()
+	core.Fork(p, func(i int) {
+		parts[i] = walk(a, b, bounds[i], bounds[i+1], nil)
+	})
 	n := 0
 	for _, part := range parts {
 		n += len(part)

@@ -280,3 +280,29 @@ func equal(a, b []int32) bool {
 	}
 	return true
 }
+
+// TestRunWorkerPanicReachesCaller: a walk that panics only on a
+// segment after the first (so on a spawned worker, never on the
+// caller's) must surface as a panic on run's caller, carrying the
+// original value, rather than kill the process.
+func TestRunWorkerPanicReachesCaller(t *testing.T) {
+	a, b := make([]int64, minParallel), make([]int64, minParallel)
+	for i := range a {
+		a[i], b[i] = int64(2*i), int64(2*i+1)
+	}
+	boom := "walk panicked on segment > 0"
+	walk := func(a, b []int64, lo, hi core.Point, dst []int64) []int64 {
+		if lo != (core.Point{}) {
+			panic(boom)
+		}
+		return intersectWalk(a, b, lo, hi, dst)
+	}
+	got := func() (v any) {
+		defer func() { v = recover() }()
+		run(a, b, 2, walk)
+		return nil
+	}()
+	if got != boom {
+		t.Fatalf("caller recovered %v, want the walk's panic value", got)
+	}
+}

@@ -1,6 +1,6 @@
 package spm
 
-import "sync"
+import "mergepath/internal/core"
 
 // MergeFunc is Merge under a caller-supplied strict weak ordering:
 // less(x, y) reports whether x must sort before y. Stability matches
@@ -51,29 +51,19 @@ func MergeFunc[T any](a, b, out []T, cfg Config, less func(x, y T) bool) Stats {
 
 func mergeWindowFunc[T any](bufA, bufB *ring[T], window []T, p int, less func(x, y T) bool) (usedA, usedB int) {
 	steps := len(window)
-	if p > steps {
-		p = steps
-	}
-	if p <= 1 {
-		return ringMergeStepsFunc(bufA, bufB, 0, 0, steps, window, less)
-	}
-	var wg sync.WaitGroup
-	wg.Add(p)
-	endA, endB := ringSearchDiagonalFunc(bufA, bufB, steps, less)
-	for i := 0; i < p; i++ {
-		go func(i int) {
-			defer wg.Done()
-			lo := i * steps / p
-			hi := (i + 1) * steps / p
-			var sa, sb int
-			if i > 0 {
-				sa, sb = ringSearchDiagonalFunc(bufA, bufB, lo, less)
-			}
-			ringMergeStepsFunc(bufA, bufB, sa, sb, hi-lo, window[lo:hi], less)
-		}(i)
-	}
-	wg.Wait()
-	return endA, endB
+	p = min(p, steps)
+	core.Fork(p, func(i int) {
+		lo, hi := i*steps/p, (i+1)*steps/p
+		var sa, sb int
+		if i > 0 {
+			sa, sb = ringSearchDiagonalFunc(bufA, bufB, lo, less)
+		}
+		ea, eb := ringMergeStepsFunc(bufA, bufB, sa, sb, hi-lo, window[lo:hi], less)
+		if i == p-1 {
+			usedA, usedB = ea, eb
+		}
+	})
+	return usedA, usedB
 }
 
 func ringSearchDiagonalFunc[T any](bufA, bufB *ring[T], k int, less func(x, y T) bool) (int, int) {

@@ -12,7 +12,8 @@ package spm
 
 import (
 	"cmp"
-	"sync"
+
+	"mergepath/internal/core"
 )
 
 // Config parameterizes a segmented merge.
@@ -92,37 +93,23 @@ func Merge[T cmp.Ordered](a, b, out []T, cfg Config) Stats {
 // mergeWindow merges exactly len(window) steps from the staged buffers into
 // window using p workers, and reports how many elements of each buffer were
 // consumed. It is Theorem 16 in code: the staged prefixes are long enough
-// for every in-window diagonal.
+// for every in-window diagonal. The last worker's end point is the
+// window-final co-rank, which doubles as the consumption count.
 func mergeWindow[T cmp.Ordered](bufA, bufB *ring[T], window []T, p int) (usedA, usedB int) {
 	steps := len(window)
-	if p > steps {
-		p = steps
-	}
-	if p <= 1 {
-		ua, ub := ringMergeSteps(bufA, bufB, 0, 0, steps, window)
-		return ua, ub
-	}
-	var wg sync.WaitGroup
-	wg.Add(p)
-	// The window-final co-rank doubles as the consumption count; find it
-	// once on the coordinating goroutine while workers handle the interior.
-	endA, endB := ringSearchDiagonal(bufA, bufB, steps)
-	for i := 0; i < p; i++ {
-		go func(i int) {
-			defer wg.Done()
-			lo := i * steps / p
-			hi := (i + 1) * steps / p
-			var sa, sb int
-			if i == 0 {
-				sa, sb = 0, 0
-			} else {
-				sa, sb = ringSearchDiagonal(bufA, bufB, lo)
-			}
-			ringMergeSteps(bufA, bufB, sa, sb, hi-lo, window[lo:hi])
-		}(i)
-	}
-	wg.Wait()
-	return endA, endB
+	p = min(p, steps)
+	core.Fork(p, func(i int) {
+		lo, hi := i*steps/p, (i+1)*steps/p
+		var sa, sb int
+		if i > 0 {
+			sa, sb = ringSearchDiagonal(bufA, bufB, lo)
+		}
+		ea, eb := ringMergeSteps(bufA, bufB, sa, sb, hi-lo, window[lo:hi])
+		if i == p-1 {
+			usedA, usedB = ea, eb
+		}
+	})
+	return usedA, usedB
 }
 
 // ringSearchDiagonal is core.SearchDiagonal transplanted onto the cyclic

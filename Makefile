@@ -62,18 +62,23 @@ spawn-check:
 fuzz-wire:
 	$(GO) test -run FuzzDecode -fuzz FuzzDecode -fuzztime 10s ./internal/wire
 
-# Short coverage-guided fuzz of psort's int64 radix leaf: fuzz bytes
-# become int64 keys tiled until every run reaches the radix cutoff, and
-# the sort must equal slices.Sort for any key bits and worker count.
+# Short coverage-guided fuzz of psort's int64 radix leaf and its merge
+# pass: fuzz bytes become int64 keys tiled until every run reaches the
+# radix cutoff, and the sort must equal slices.Sort for any key bits and
+# worker count. -fuzzminimizetime 0 (here and in fuzz-kway) spends the
+# 10 s fuzzing: by default every new corpus entry is minimized for up to
+# 60 s, which stalled these targets after about 3 s. A crasher is still
+# written to testdata/fuzz, unminimized.
 fuzz-sort:
-	$(GO) test -run FuzzSortInt64 -fuzz FuzzSortInt64 -fuzztime 10s ./internal/psort
+	$(GO) test -run FuzzSortInt64 -fuzz FuzzSortInt64 -fuzztime 10s -fuzzminimizetime 0 ./internal/psort
 
 # Short coverage-guided fuzz of the k-way merged output: fuzz bytes
 # become 1..33 sorted runs over a small domain (ties and long runs of
 # one list), and every strategy must equal HeapMerge byte for byte at a
-# seeded worker count, for int64 and for float64 runs mixing -0 and +0.
+# seeded worker count, for int64 and for float64 runs mixing -0 and +0,
+# in one window per worker and in seeded sub-windows of 1..16 elements.
 fuzz-kway:
-	$(GO) test -run FuzzMergeInto -fuzz FuzzMergeInto -fuzztime 10s ./internal/kway
+	$(GO) test -run FuzzMergeInto -fuzz FuzzMergeInto -fuzztime 10s -fuzzminimizetime 0 ./internal/kway
 
 # Big-endian build gate: type-check and vet the whole module for s390x,
 # so the portable per-element codec path (internal/lebytes callers in

@@ -22,6 +22,11 @@
 // orderings given as a less function, runs a binary tree of merge-path
 // rounds instead.
 //
+// MergeIntoCtx and MergeFuncInto are the cancelable forms. Under a ctx
+// that can be canceled, each worker merges its output range in windows
+// of at most 64K elements, each cut with CoRank, and checks ctx between
+// them. psort's merge pass is MergeIntoCtx over its phase-1 runs.
+//
 // See docs/KWAY.md for the co-ranking invariants, the balance proof
 // sketch and strategy-selection guidance.
 package kway
@@ -75,8 +80,10 @@ func MergeInto[T cmp.Ordered](dst []T, lists [][]T, p int) []T {
 // consumed it. Each level is one balanced round over all of its pairs;
 // an odd run is carried as a pair with an empty B. A pair's first input
 // is always the lower-indexed subtree, which is what preserves the
-// cross-list tie rule through the tree.
-func treeMerge[T any](dst []T, lists [][]T, p int, less func(x, y T) bool) {
+// cross-list tie rule through the tree. Every round checks ctx every
+// 64K output elements; a canceled round leaves dst partial and returns
+// ctx.Err().
+func treeMerge[T any](ctx context.Context, dst []T, lists [][]T, p int, less func(x, y T) bool) error {
 	runs := append(make([][]T, 0, len(lists)), lists...)
 	rounds := 0
 	for n := len(runs); n > 1; n = (n + 1) / 2 {
@@ -103,12 +110,15 @@ func treeMerge[T any](dst []T, lists [][]T, p int, less func(x, y T) bool) {
 			offset += len(out)
 			pairs = append(pairs, core.Pair[T]{A: a, B: b, Out: out})
 		}
-		core.MergeRoundFunc(context.Background(), pairs, p, nil, less)
+		if _, err := core.MergeRoundFunc(ctx, pairs, p, nil, less); err != nil {
+			return err
+		}
 		runs = runs[:len(pairs)]
 		for i, pr := range pairs {
 			runs[i] = pr.Out
 		}
 	}
+	return nil
 }
 
 // heapItem is one cursor into a source list.
@@ -174,18 +184,40 @@ func MergeFunc[T any](lists [][]T, p int, less func(x, y T) bool) []T {
 	if p < 1 {
 		panic("kway: worker count must be positive")
 	}
+	if len(lists) == 0 {
+		return nil
+	}
 	total := 0
 	for _, l := range lists {
 		total += len(l)
 	}
-	if len(lists) == 0 {
-		return nil
+	out, _ := MergeFuncInto(context.Background(), make([]T, total), lists, p, less)
+	return out
+}
+
+// MergeFuncInto is MergeFunc writing into dst, which must have len >=
+// the total element count of lists and alias none of them, under ctx:
+// each tree level's round checks ctx every 64K output elements, and a
+// canceled merge leaves dst partial and returns ctx.Err(). The merged
+// output is dst[:total].
+func MergeFuncInto[T any](ctx context.Context, dst []T, lists [][]T, p int, less func(x, y T) bool) ([]T, error) {
+	if p < 1 {
+		panic("kway: worker count must be positive")
 	}
-	dst := make([]T, total)
+	total := 0
+	for _, l := range lists {
+		total += len(l)
+	}
+	if len(dst) < total {
+		panic("kway: destination shorter than total input length")
+	}
+	dst = dst[:total]
+	if err := ctx.Err(); err != nil {
+		return dst, err
+	}
 	if len(lists) == 1 {
 		copy(dst, lists[0])
-		return dst
+		return dst, nil
 	}
-	treeMerge(dst, lists, p, less)
-	return dst
+	return dst, treeMerge(ctx, dst, lists, p, less)
 }

@@ -2,6 +2,7 @@ package kway
 
 import (
 	"cmp"
+	"context"
 	"math"
 	"slices"
 	"testing"
@@ -34,8 +35,10 @@ var signedZeros = [8]float64{-1, math.Copysign(0, -1), 0, math.Copysign(0, -1), 
 
 // FuzzMergeInto checks merged bytes, not just cuts: every strategy must
 // match HeapMerge exactly for int64 runs and for float64 runs mixing -0
-// and +0, at a worker count taken from the seed. NaN stays out: its
-// order is unspecified. `make fuzz-kway` runs it.
+// and +0, at a worker count taken from the seed, both in one window per
+// worker and cut into sub-windows of 1 to 16 elements under a cancelable
+// ctx. NaN stays out: its order is unspecified. `make fuzz-kway` runs
+// it.
 func FuzzMergeInto(f *testing.F) {
 	f.Add([]byte{3, 1, 2, 3, 4, 5, 6}, uint8(1))
 	f.Add([]byte{18, 0, 1, 2, 3, 4, 1, 2, 3, 4, 1, 2, 3, 4, 1, 2, 3, 4, 7, 7, 7, 7}, uint8(2))
@@ -46,6 +49,9 @@ func FuzzMergeInto(f *testing.F) {
 			return
 		}
 		p := int(pSeed)%4 + 1
+		span := int(pSeed>>2)%16 + 1
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
 		ints := fuzzRuns(raw, func(b byte) int64 { return int64(b) })
 		wantInts := HeapMerge(ints)
 		floats := fuzzRuns(raw, func(b byte) float64 { return signedZeros[b] })
@@ -56,6 +62,12 @@ func FuzzMergeInto(f *testing.F) {
 			}
 			if got, _ := MergeIntoStats(make([]float64, len(wantFloats)), floats, p, strat); !sameBits(got, wantFloats) {
 				t.Fatalf("float64 %v p=%d: got %v want %v", strat, p, got, wantFloats)
+			}
+			if got, _, _ := mergeInto(ctx, make([]int64, len(wantInts)), ints, p, strat, nil, span); !slices.Equal(got, wantInts) {
+				t.Fatalf("int64 %v p=%d span=%d: got %v want %v", strat, p, span, got, wantInts)
+			}
+			if got, _, _ := mergeInto(ctx, make([]float64, len(wantFloats)), floats, p, strat, nil, span); !sameBits(got, wantFloats) {
+				t.Fatalf("float64 %v p=%d span=%d: got %v want %v", strat, p, span, got, wantFloats)
 			}
 		}
 	})

@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"math/bits"
+	"time"
 
 	"mergepath/internal/core"
 )
@@ -90,8 +91,44 @@ func autoStrategy(k, total, p int) Strategy {
 // and must not alias any input; the merged output is returned as
 // dst[:total]. Output bytes are identical across strategies.
 func MergeIntoStats[T cmp.Ordered](dst []T, lists [][]T, p int, strat Strategy) ([]T, Stats) {
+	out, st, _ := mergeInto(context.Background(), dst, lists, p, strat, nil, 0)
+	return out, st
+}
+
+// subWindow caps how many output elements a merge worker writes between
+// cancellation checks when ctx can be canceled: each worker merges its
+// output range in windows of at most this many elements, each cut with
+// CoRank. Matches core's round chunk, so a two-run merge and a k-run
+// merge stop equally fast.
+const subWindow = 1 << 16
+
+// MergeIntoCtx is MergeInto under ctx, for callers that must be able to
+// abandon a large merge: once ctx is done every worker stops at its next
+// window of at most 64K output elements, and ctx.Err() is returned with
+// dst only partially written. A ctx that can never be done (Background)
+// cuts no windows beyond the p worker ranges, exactly MergeInto's shape.
+// Two runs take one core.MergeRound, which checks ctx as often.
+//
+// ws is optional, as for core.MergeRound: when non-nil it must have
+// length at least p, and ws[w] then times worker w (Search is its
+// co-rank cuts, Merge its window merges) for every w < Stats.Workers.
+func MergeIntoCtx[T cmp.Ordered](ctx context.Context, dst []T, lists [][]T, p int, ws []core.WorkerStat) ([]T, Stats, error) {
+	span := 0
+	if ctx.Done() != nil {
+		span = subWindow
+	}
+	return mergeInto(ctx, dst, lists, p, StrategyAuto, ws, span)
+}
+
+// mergeInto is the engine behind MergeIntoStats and MergeIntoCtx. span
+// caps the output elements a worker merges between ctx checks; 0 means
+// one window per worker.
+func mergeInto[T cmp.Ordered](ctx context.Context, dst []T, lists [][]T, p int, strat Strategy, ws []core.WorkerStat, span int) ([]T, Stats, error) {
 	if p < 1 {
 		panic("kway: worker count must be positive")
+	}
+	if ws != nil && len(ws) < p {
+		panic("kway: stats slice shorter than worker count")
 	}
 	total := 0
 	for _, l := range lists {
@@ -105,83 +142,108 @@ func MergeIntoStats[T cmp.Ordered](dst []T, lists [][]T, p int, strat Strategy) 
 	if strat == StrategyAuto {
 		st.Strategy = autoStrategy(len(lists), total, p)
 	}
+	if err := ctx.Err(); err != nil {
+		return dst, st, err
+	}
+	var err error
 	switch {
 	case len(lists) == 0:
 	case len(lists) == 1:
 		copy(dst, lists[0])
 	case st.Strategy == StrategyHeap:
-		seqMergeInto(dst, lists)
+		if mergeSpan(ctx, dst, lists, 0, total, span, wsAt(ws, 0)) < total {
+			err = ctx.Err()
+		}
 	default:
-		coRankMergeInto(dst, lists, p, &st)
+		err = coRankMergeInto(ctx, dst, lists, p, ws, span, &st)
 	}
-	return dst, st
+	return dst, st, err
 }
 
-// coRankMergeInto runs the co-ranking strategy proper. The p-1 cut
-// vectors are componentwise monotone (prefix sets are nested), so the
-// windows partition every input exactly once and each worker writes a
-// pre-assigned disjoint span of dst: no locks, no coordination. Two
+// wsAt is &ws[w], or nil when ws is.
+func wsAt(ws []core.WorkerStat, w int) *core.WorkerStat {
+	if ws == nil {
+		return nil
+	}
+	return &ws[w]
+}
+
+// coRankMergeInto runs the co-ranking strategy proper. Worker w owns
+// output ranks [w·total/p, (w+1)·total/p) and cuts its own range with
+// CoRank. Cuts are componentwise monotone (prefix sets are nested), so
+// the ranges partition every input exactly once and each worker writes
+// a pre-assigned disjoint span of dst: no locks, no coordination. Two
 // runs go to one core.MergeRound pair, which cuts them at the same
 // ranks with the diagonal search.
-func coRankMergeInto[T cmp.Ordered](dst []T, lists [][]T, p int, st *Stats) {
+func coRankMergeInto[T cmp.Ordered](ctx context.Context, dst []T, lists [][]T, p int, ws []core.WorkerStat, span int, st *Stats) error {
 	total := len(dst)
 	p = min(p, total) // no worker should own an empty window
 	st.Workers = p
 	if p == 0 {
-		return
+		return nil
 	}
+	var err error
 	if len(lists) == 2 {
+		if ws == nil {
+			ws = make([]core.WorkerStat, p)
+		}
 		pair := []core.Pair[T]{{A: lists[0], B: lists[1], Out: dst}}
-		ws, _ := core.MergeRound(context.Background(), pair, p, make([]core.WorkerStat, p))
-		st.PerWorker = make([]int, len(ws))
-		for w, s := range ws {
+		var got []core.WorkerStat
+		got, err = core.MergeRound(ctx, pair, p, ws)
+		st.PerWorker = make([]int, len(got))
+		for w, s := range got {
 			st.PerWorker[w] = s.Elements
 		}
 	} else {
-		st.PerWorker = mergeCoRankWindows(dst, lists, p)
+		st.PerWorker = make([]int, p)
+		core.Fork(p, func(w int) {
+			st.PerWorker[w] = mergeSpan(ctx, dst, lists, w*total/p, (w+1)*total/p, span, wsAt(ws, w))
+		})
+		done := 0
+		for _, n := range st.PerWorker {
+			done += n
+		}
+		if done < total {
+			err = ctx.Err()
+		}
 	}
 	maxLoad := 0
 	for _, n := range st.PerWorker {
 		maxLoad = max(maxLoad, n)
 	}
 	st.Imbalance = float64(maxLoad) * float64(p) / float64(total)
+	return err
 }
 
-// mergeCoRankWindows cuts lists at p-1 equispaced output ranks and
-// merges the p windows into dst, one core.Fork worker each; it returns
-// each window's element count.
-func mergeCoRankWindows[T cmp.Ordered](dst []T, lists [][]T, p int) []int {
-	total := len(dst)
-	cuts := make([][]int, p+1)
-	cuts[0] = make([]int, len(lists))
-	ends := make([]int, len(lists))
-	for i, l := range lists {
-		ends[i] = len(l)
+// mergeSpan merges output ranks [start, end) of lists into
+// dst[start:end] in windows of at most span elements (span 0: one
+// window), cutting each window's end with CoRank and checking ctx
+// before every window but the first. It returns how many elements it
+// wrote, end-start unless ctx stopped it. ws, when non-nil, receives
+// the worker's counts and timings.
+func mergeSpan[T cmp.Ordered](ctx context.Context, dst []T, lists [][]T, start, end, span int, ws *core.WorkerStat) int {
+	if span <= 0 {
+		span = end - start
 	}
-	cuts[p] = ends
-	for w := 1; w < p; w++ {
-		cuts[w] = CoRank(lists, w*total/p)
+	var st core.WorkerStat
+	t0 := time.Now()
+	lo := CoRank(lists, start)
+	at := start
+	for at < end && (at == start || ctx.Err() == nil) {
+		e := min(at+span, end)
+		hi := CoRank(lists, e)
+		t1 := time.Now()
+		mergeWindows(dst[at:e], lists, lo, hi)
+		st.Search += t1.Sub(t0)
+		t0 = time.Now()
+		st.Merge += t0.Sub(t1)
+		st.Elements += e - at
+		lo, at = hi, e
 	}
-	loads := make([]int, p)
-	core.Fork(p, func(w int) {
-		start, end := w*total/p, (w+1)*total/p
-		loads[w] = end - start
-		mergeWindows(dst[start:end], lists, cuts[w], cuts[w+1])
-	})
-	return loads
-}
-
-// seqMergeInto is the sequential strategy writing into a caller buffer
-// (HeapMerge allocates; this path does not): one tournament over the
-// whole of every run.
-func seqMergeInto[T cmp.Ordered](dst []T, lists [][]T) {
-	leaves := make([]leaf[T], 0, len(lists))
-	for _, l := range lists {
-		if len(l) > 0 {
-			leaves = append(leaves, leaf[T]{run: l})
-		}
+	if ws != nil {
+		*ws = st
 	}
-	mergeLeaves(dst, leaves)
+	return at - start
 }
 
 // node is one internal node of the loser tree: the leaf that lost the

@@ -111,30 +111,32 @@ func TestSortCtxDeadline(t *testing.T) {
 	}
 }
 
-// TestSortCtxStatsBalancedRounds: every phase-2 level is one balanced
-// round over all of its pairs, so each round engages all p workers
-// within one element of n/p — even when the run count is odd and a
-// level has fewer pairs than workers. Splitting workers per pair (p/pairs
-// each) gave 2.000 on this input: 4 runs, 2 pairs, 1 worker per pair,
-// one of them merging twice the elements of the other.
+// TestSortCtxStatsBalancedRounds: phase 1 cuts a multiple of p equal
+// runs, so every worker sorts the same number of elements, and phase 2
+// is one merge pass with each worker's output within one element of
+// n/p. The sizes give exactly p runs (one k-way pass over 3 runs) and
+// 2p runs (n just over p·maxRunElems).
 func TestSortCtxStatsBalancedRounds(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	const n = 3*65536 + 1
-	s := make([]int, n)
-	for i := range s {
-		s[i] = rng.Int()
-	}
-	st, err := SortCtxStats(context.Background(), s, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sort.IntsAreSorted(s) {
-		t.Fatal("not sorted")
-	}
-	if st.Runs != 4 || st.MergeRounds != 2 {
-		t.Fatalf("runs %d, rounds %d; want 4 runs, 2 rounds", st.Runs, st.MergeRounds)
-	}
-	if st.MaxImbalance > 1.01 {
-		t.Fatalf("MaxImbalance = %.3f, want <= 1.01", st.MaxImbalance)
+	const p = 3
+	for _, tc := range []struct{ n, runs int }{{3*65536 + 1, p}, {p*maxRunElems + 1, 2 * p}} {
+		s := make([]int, tc.n)
+		for i := range s {
+			s[i] = rng.Int()
+		}
+		st, err := SortCtxStats(context.Background(), s, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sort.IntsAreSorted(s) {
+			t.Fatalf("n=%d: not sorted", tc.n)
+		}
+		if st.Runs != tc.runs || st.Runs%p != 0 || st.MergeRounds > 1 {
+			t.Fatalf("n=%d: runs %d, rounds %d; want %d runs (a multiple of p=%d), at most 1 round",
+				tc.n, st.Runs, st.MergeRounds, tc.runs, p)
+		}
+		if st.MaxImbalance > 1.01 {
+			t.Fatalf("n=%d: MaxImbalance = %.3f, want <= 1.01", tc.n, st.MaxImbalance)
+		}
 	}
 }

@@ -13,7 +13,8 @@ import (
 // each merge node becomes one partition task plus one task per output
 // segment, and a segment task becomes runnable the moment its inputs'
 // subtree finishes — merges from different subtrees and different tree
-// levels execute concurrently, which removes the round barriers of Sort.
+// levels execute concurrently, which removes the barriers between the
+// paper's merge rounds (Sort itself now has one merge pass instead).
 //
 // grain is the leaf chunk size; values < 2 select a default that yields a
 // few tasks per worker per level. The result is identical (stable) to

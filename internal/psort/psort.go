@@ -1,23 +1,30 @@
 // Package psort implements the paper's two sorting algorithms:
 //
-//   - Sort (§III): parallel merge sort. p workers first sort runs of at
-//     most min(N/p, 64K) elements sequentially — an LSD radix sort for
+//   - Sort (§III): parallel merge sort in p balanced runs and one merge
+//     pass. Phase 1 cuts the input into a multiple of p equal runs of at
+//     most maxRunElems (256K) elements, exactly p runs up to p·256K, and
+//     the p workers sort them sequentially — an LSD radix sort for
 //     []int64 runs of at least radixMinRun (2048) elements, a merge sort
-//     over insertion-sorted leaves otherwise; then rounds of pairwise
-//     merges follow, each level one balanced core.MergeRound over all of
-//     that level's pairs, so that all p workers stay busy in every round —
-//     the property that motivates the paper (the later rounds of merge
-//     sort are where naive parallelization starves).
+//     over insertion-sorted leaves otherwise. Phase 2 merges every run
+//     into the destination in one pass balanced over the output: a
+//     co-ranked k-way merge (kway.MergeIntoCtx), which for two runs is
+//     one merge-path round. All p workers stay busy in both phases, the
+//     property that motivates the paper (the later rounds of a pairwise
+//     merge sort are where naive parallelization starves); one pass
+//     replaces its log R rounds.
 //   - CacheEfficientSort (§IV.C): sort cache-sized blocks one after another
 //     (each with the parallel sort, all workers on one block so the block
 //     stays cache-resident), then a binary tree of segmented parallel
 //     merges (spm.Merge) whose working set never exceeds the cache.
 //
-// Both sorts are stable and out-of-place internally (ping-pong scratch),
-// with the result always landing back in the caller's slice. The radix
-// leaf keeps that promise because equal int64 keys are equal bytes;
-// float64 and every other type stay on the comparison leaf, where -0 and
-// +0 (equal under <) keep their input order.
+// Both sorts are stable. SortInto sorts into a buffer the caller lends,
+// using the input as run storage, so it allocates no n-element scratch;
+// Sort and the other in-place forms allocate that buffer and copy the
+// result back. The radix leaf yields the comparison sort's bytes because
+// equal int64 keys are equal bytes; float64 and every other type stay on
+// the comparison leaf, where -0 and +0 (equal under <) keep their input
+// order. Float input must be NaN-free (the public mergepath package
+// checks it).
 package psort
 
 import (
@@ -26,6 +33,7 @@ import (
 	"math"
 
 	"mergepath/internal/core"
+	"mergepath/internal/kway"
 	"mergepath/internal/spm"
 )
 
@@ -34,9 +42,10 @@ import (
 const insertionThreshold = 24
 
 // Sort sorts s with p concurrent workers using parallel merge sort.
-// p < 1 panics; p == 1 runs the same rounds on the calling goroutine.
+// p < 1 panics; p == 1 runs the same two phases on the calling
+// goroutine.
 func Sort[T cmp.Ordered](s []T, p int) {
-	sortRounds(context.Background(), s, p, false, seqSort[T], core.MergeRound[T])
+	_, _ = SortCtxStats(context.Background(), s, p)
 }
 
 // CacheEfficientSort sorts s with p workers, keeping the working set of
@@ -50,62 +59,38 @@ func CacheEfficientSort[T cmp.Ordered](s []T, cacheElems, p int) {
 	if cacheElems < 3 {
 		panic("psort: cache must hold at least 3 elements")
 	}
-	n := len(s)
-	if n < 2 {
+	if len(s) < 2 {
 		return
 	}
 	// "Equisized sub-arrays whose size is some fraction of the cache size":
 	// blocks of C/2 leave room for the sort's scratch within the cache.
-	block := cacheElems / 2
-	if block < 1 {
-		block = 1
-	}
-	if block > n {
-		block = n
-	}
-	for lo := 0; lo < n; lo += block {
-		hi := lo + block
-		if hi > n {
-			hi = n
-		}
-		Sort(s[lo:hi], p)
-	}
-
-	// Merge rounds: a binary tree of segmented merges, one merge at a time
-	// (the segmentation, not merge-level concurrency, provides the
+	// The merges form a binary tree, one merge at a time (the
+	// segmentation, not merge-level concurrency, provides the
 	// parallelism — all p workers cooperate inside each window).
-	scratch := make([]T, n)
-	src, dst := s, scratch
 	window := cacheElems / 3
-	for width := block; width < n; width *= 2 {
-		for lo := 0; lo < n; lo += 2 * width {
-			mid := lo + width
-			if mid >= n {
-				copy(dst[lo:n], src[lo:n])
-				break
-			}
-			hi := mid + width
-			if hi > n {
-				hi = n
-			}
-			spm.Merge(src[lo:mid], src[mid:hi], dst[lo:hi], spm.Config{Window: window, Workers: p})
-		}
-		src, dst = dst, src
-	}
-	if &src[0] != &s[0] {
-		copy(s, src)
-	}
+	bottomUp(s, make([]T, len(s)), cacheElems/2, func(b []T) { Sort(b, p) }, func(a, b, out []T) {
+		spm.Merge(a, b, out, spm.Config{Window: window, Workers: p})
+	})
 }
 
 // SortFunc sorts s under a caller-supplied strict weak ordering with p
-// workers. It runs the same engine as Sort; it exists for the stability
-// tests and for callers whose element type is not cmp.Ordered.
+// workers. It runs the same two phases as Sort; its merge pass is
+// kway.MergeFuncInto, a tree of merge-path rounds, which is one round
+// when there are two runs. It exists for the stability tests and for
+// callers whose element type is not cmp.Ordered.
 func SortFunc[T any](s []T, p int, less func(x, y T) bool) {
+	seq, merge := funcPhases(less)
+	_, _ = sortInPlace(context.Background(), s, p, maxRunElems, seq, merge)
+}
+
+// funcPhases returns SortFunc's run sort and merge pass under less.
+func funcPhases[T any](less func(x, y T) bool) (func(s, scratch []T), mergePass[T]) {
 	seq := func(s, scratch []T) { seqSortFunc(s, scratch, less) }
-	round := func(ctx context.Context, pairs []core.Pair[T], p int, ws []core.WorkerStat) ([]core.WorkerStat, error) {
-		return core.MergeRoundFunc(ctx, pairs, p, ws, less)
+	merge := func(ctx context.Context, dst []T, runs [][]T, p int, ws []core.WorkerStat) ([]core.WorkerStat, error) {
+		_, err := kway.MergeFuncInto(ctx, dst, runs, p, less)
+		return nil, err
 	}
-	sortRounds(context.Background(), s, p, false, seq, round)
+	return seq, merge
 }
 
 // seqSort is the sequential kernel: radixSortInt64 for []int64 runs of at
@@ -123,55 +108,33 @@ func seqSort[T cmp.Ordered](s, scratch []T) {
 // mergeSortLeaf is seqSort's comparison kernel, the only one for every
 // type but int64.
 func mergeSortLeaf[T cmp.Ordered](s, scratch []T) {
-	n := len(s)
-	for lo := 0; lo < n; lo += insertionThreshold {
-		hi := lo + insertionThreshold
-		if hi > n {
-			hi = n
-		}
-		insertionSort(s[lo:hi])
-	}
-	src, dst := s, scratch
-	for width := insertionThreshold; width < n; width *= 2 {
-		for lo := 0; lo < n; lo += 2 * width {
-			mid, hi := lo+width, lo+2*width
-			if mid >= n {
-				copy(dst[lo:n], src[lo:n])
-				break
-			}
-			if hi > n {
-				hi = n
-			}
-			core.Merge(src[lo:mid], src[mid:hi], dst[lo:hi])
-		}
-		src, dst = dst, src
-	}
-	if &src[0] != &s[0] {
-		copy(s, src)
-	}
+	bottomUp(s, scratch, insertionThreshold, insertionSort[T], core.Merge[T])
 }
 
 func seqSortFunc[T any](s, scratch []T, less func(x, y T) bool) {
+	bottomUp(s, scratch, insertionThreshold, func(s []T) { insertionSortFunc(s, less) },
+		func(a, b, out []T) { core.MergeFunc(a, b, out, less) })
+}
+
+// bottomUp is the merge sort behind both comparison leaves and
+// CacheEfficientSort: it sorts blocks of block elements with leaf, then
+// merges neighbouring blocks level by level with merge, ping-ponging
+// with scratch (as long as s) and copying back after an odd number of
+// levels. s must be non-empty. Stable when leaf and merge are.
+func bottomUp[T any](s, scratch []T, block int, leaf func(s []T), merge func(a, b, out []T)) {
 	n := len(s)
-	for lo := 0; lo < n; lo += insertionThreshold {
-		hi := lo + insertionThreshold
-		if hi > n {
-			hi = n
-		}
-		insertionSortFunc(s[lo:hi], less)
+	for lo := 0; lo < n; lo += block {
+		leaf(s[lo:min(lo+block, n)])
 	}
 	src, dst := s, scratch
-	for width := insertionThreshold; width < n; width *= 2 {
+	for width := block; width < n; width *= 2 {
 		for lo := 0; lo < n; lo += 2 * width {
-			mid, hi := lo+width, lo+2*width
+			mid, hi := lo+width, min(lo+2*width, n)
 			if mid >= n {
 				copy(dst[lo:n], src[lo:n])
 				break
 			}
-			if hi > n {
-				hi = n
-			}
-			core.MergeFunc(src[lo:mid], src[mid:hi], dst[lo:hi], less)
+			merge(src[lo:mid], src[mid:hi], dst[lo:hi])
 		}
 		src, dst = dst, src
 	}

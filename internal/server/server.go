@@ -460,18 +460,19 @@ func mergeTwo[T cmp.Ordered](s *Server, r *http.Request, a, b, out []T) (int, er
 	return s.execute(r, j)
 }
 
-// sortData sorts data in place through the pool's whole-pool round
-// path, recording psort's phase timings as partition/merge spans.
-func sortData[T cmp.Ordered](s *Server, r *http.Request, data []T) (int, error) {
+// sortData sorts data into out through the pool's whole-pool round
+// path, recording psort's phase timings as partition/merge spans. data
+// is the run storage and holds sorted runs afterwards.
+func sortData[T cmp.Ordered](s *Server, r *http.Request, out, data []T) (int, error) {
 	j := s.newJob("sort", r)
 	j.elems = len(data)
 	tr := j.trace
 	j.run = func(ctx context.Context, workers int) error {
 		began := time.Now()
-		st, err := psort.SortCtxStats(ctx, data, workers)
+		st, err := psort.SortInto(ctx, out, data, workers)
 		// Partition = co-rank searches; merge = run sorting + merge
-		// steps (both are element-processing work). Imbalance: worst
-		// phase-2 round.
+		// steps (both are element-processing work). Imbalance: the
+		// merge pass.
 		tr.add(StagePartition, began, st.Search)
 		tr.add(StageMerge, began, st.RunSort+st.Merge)
 		s.m.noteImbalance(st.MaxImbalance)
@@ -495,12 +496,7 @@ func mergeKLists[T cmp.Ordered](s *Server, r *http.Request, lists [][]T, dst []T
 	for _, list := range lists {
 		j.elems += len(list)
 	}
-	// kway rounds are not chunk-cancellable yet; observe ctx at the round
-	// boundary so an abandoned job at least never starts.
 	j.run = func(ctx context.Context, workers int) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
 		out := dst
 		if out == nil {
 			if len(lists) == 0 {
@@ -509,9 +505,10 @@ func mergeKLists[T cmp.Ordered](s *Server, r *http.Request, lists [][]T, dst []T
 			out = make([]T, j.elems)
 		}
 		var st kway.Stats
-		result, st = kway.MergeIntoStats(out, lists, workers, kway.StrategyAuto)
+		var err error
+		result, st, err = kway.MergeIntoCtx(ctx, out, lists, workers, nil)
 		s.m.noteKWay(st)
-		return nil
+		return err
 	}
 	status, err := s.execute(r, j)
 	return status, result, err
@@ -531,12 +528,14 @@ func (s *Server) handleMerge(r *http.Request) (int, any) {
 		if err != nil {
 			return status, errBody(err)
 		}
+		// When a request fails, its frame and output arenas are left to
+		// the GC, not pooled: the pool answers a canceled or expired
+		// request at once, while its round may still be writing into
+		// them up to the next chunk or run boundary.
 		if f.Type == wire.Float64 {
 			a, b := f.Floats[0], f.Floats[1]
 			out := wire.GetFloat64(len(a) + len(b))
 			if status, err := mergeTwo(s, r, a, b, out); err != nil {
-				f.Release()
-				wire.PutFloat64(out)
 				return status, errBody(err)
 			}
 			f.Release()
@@ -546,8 +545,6 @@ func (s *Server) handleMerge(r *http.Request) (int, any) {
 		a, b := f.Ints[0], f.Ints[1]
 		out := wire.GetInt64(len(a) + len(b))
 		if status, err := mergeTwo(s, r, a, b, out); err != nil {
-			f.Release()
-			wire.PutInt64(out)
 			return status, errBody(err)
 		}
 		f.Release()
@@ -575,36 +572,46 @@ func (s *Server) handleSort(r *http.Request) (int, any) {
 	}
 	binOut := wantsWire(r)
 	if bf == fmtBinary {
-		// The frame's single list is sorted in place inside its pooled
-		// arena and encoded straight back out of it — the large-array
-		// path allocates nothing per request.
+		// The frame's single list is sorted into a pooled arena, which
+		// the response is encoded straight out of; the frame's own arena
+		// holds the sorted runs and goes back to the pool after the
+		// round. The large-array path allocates nothing per request.
 		f, status, err := s.decodeFrame(r, 1)
 		if err != nil {
 			return status, errBody(err)
 		}
 		if f.Type == wire.Float64 {
 			data := f.Floats[0]
-			if status, err := sortData(s, r, data); err != nil {
-				f.Release()
-				return status, errBody(err)
+			out := wire.GetFloat64(len(data))
+			if status, err := sortData(s, r, out, data); err != nil {
+				return status, errBody(err) // arenas left to the GC, see handleMerge
 			}
-			return http.StatusOK, &arrayResult{binary: binOut, isFloat: true, floats: data, release: f.Release}
+			f.Release()
+			return http.StatusOK, &arrayResult{binary: binOut, isFloat: true, floats: out,
+				release: func() { wire.PutFloat64(out) }}
 		}
 		data := f.Ints[0]
-		if status, err := sortData(s, r, data); err != nil {
-			f.Release()
+		out := wire.GetInt64(len(data))
+		if status, err := sortData(s, r, out, data); err != nil {
 			return status, errBody(err)
 		}
-		return http.StatusOK, &arrayResult{binary: binOut, ints: data, release: f.Release}
+		f.Release()
+		return http.StatusOK, &arrayResult{binary: binOut, ints: out,
+			release: func() { wire.PutInt64(out) }}
 	}
 	var req SortRequest
 	if status, err := decode(r, &req); err != nil {
 		return status, errBody(err)
 	}
-	if status, err := sortData(s, r, req.Data); err != nil {
+	// A null data field answers null, an empty one [].
+	var out []int64
+	if req.Data != nil {
+		out = make([]int64, len(req.Data))
+	}
+	if status, err := sortData(s, r, out, req.Data); err != nil {
 		return status, errBody(err)
 	}
-	return http.StatusOK, &arrayResult{binary: binOut, ints: req.Data}
+	return http.StatusOK, &arrayResult{binary: binOut, ints: out}
 }
 
 func (s *Server) handleMergeK(r *http.Request) (int, any) {
@@ -625,9 +632,7 @@ func (s *Server) handleMergeK(r *http.Request) (int, any) {
 			dst := wire.GetFloat64(f.Elements())
 			status, result, err := mergeKLists(s, r, f.Floats, dst)
 			if err != nil {
-				f.Release()
-				wire.PutFloat64(dst)
-				return status, errBody(err)
+				return status, errBody(err) // arenas left to the GC, see handleMerge
 			}
 			f.Release()
 			return http.StatusOK, &arrayResult{binary: binOut, isFloat: true, floats: result,
@@ -636,8 +641,6 @@ func (s *Server) handleMergeK(r *http.Request) (int, any) {
 		dst := wire.GetInt64(f.Elements())
 		status, result, err := mergeKLists(s, r, f.Ints, dst)
 		if err != nil {
-			f.Release()
-			wire.PutInt64(dst)
 			return status, errBody(err)
 		}
 		f.Release()

@@ -13,10 +13,20 @@
 // All merges and sorts here are stable: equal elements keep their relative
 // order, with ties between the two merge inputs resolved in favour of the
 // first.
+//
+// NaN has no place in the total order every kernel merges by, so float
+// input must be NaN-free. The entry points that read all of their input
+// (the merges, sorts, k-way and batch merges and set operations) check
+// this: on a []float32 or []float64 holding a NaN they panic, naming the
+// list and the index of the first NaN, before any work starts. The
+// sublinear ones (SearchDiagonal, Partition, PartitionRanks, MergedRange)
+// and the lazy MergeIter do not scan, and their output on such input is
+// unspecified. The Func variants leave the order to the caller's less.
 package mergepath
 
 import (
 	"cmp"
+	"fmt"
 
 	"mergepath/internal/batch"
 	"mergepath/internal/core"
@@ -55,6 +65,8 @@ func Partition[T cmp.Ordered](a, b []T, p int) []Point {
 // Merge merges sorted slices a and b into out sequentially.
 // len(out) must equal len(a)+len(b).
 func Merge[T cmp.Ordered](a, b, out []T) {
+	noNaN("a", a)
+	noNaN("b", b)
 	core.Merge(a, b, out)
 }
 
@@ -68,6 +80,8 @@ func MergeFunc[T any](a, b, out []T, less func(x, y T) bool) {
 // (Algorithm 1 of the paper): lock-free, load-balanced, no inter-worker
 // communication; the only synchronization is the final barrier.
 func ParallelMerge[T cmp.Ordered](a, b, out []T, p int) {
+	noNaN("a", a)
+	noNaN("b", b)
 	core.ParallelMerge(a, b, out, p)
 }
 
@@ -89,15 +103,21 @@ type SegmentedStats = spm.Stats
 // only a window of each input at a time, so at most 3*Window elements are
 // live at any instant regardless of input size.
 func SegmentedMerge[T cmp.Ordered](a, b, out []T, cfg SegmentedConfig) SegmentedStats {
+	noNaN("a", a)
+	noNaN("b", b)
 	return spm.Merge(a, b, out, cfg)
 }
 
 // Sort sorts s with p goroutines using parallel merge sort (§III of the
-// paper): sequential sorts of runs of at most min(N/p, 64K) elements,
-// then rounds of parallel merge-path merges so every round uses all p
-// workers. Stable. An []int64 run of 2048 or more elements is sorted by
-// LSD radix, which yields the same bytes as the comparison sort.
+// paper) in p balanced runs and one merge pass. The workers sort a
+// multiple of p equal runs of at most 256K elements (exactly p runs up
+// to p·256K elements). One co-ranked pass, balanced over the output,
+// then merges every run into a scratch buffer, and the result is copied
+// back; at p = 2 that pass is one merge-path round. Stable. An []int64
+// run of 2048 or more elements is sorted by LSD radix, which yields the
+// same bytes as the comparison sort.
 func Sort[T cmp.Ordered](s []T, p int) {
+	noNaN("s", s)
 	psort.Sort(s, p)
 }
 
@@ -110,6 +130,7 @@ func SortFunc[T any](s []T, p int, less func(x, y T) bool) {
 // working set within cacheElems elements (§IV.C): cache-sized blocks are
 // sorted one at a time, then merged with SegmentedMerge.
 func CacheEfficientSort[T cmp.Ordered](s []T, cacheElems, p int) {
+	noNaN("s", s)
 	psort.CacheEfficientSort(s, cacheElems, p)
 }
 
@@ -119,6 +140,11 @@ func CacheEfficientSort[T cmp.Ordered](s []T, cacheElems, p int) {
 // merges run sequentially. Stable across lists (ties ordered by list
 // index).
 func MergeK[T cmp.Ordered](lists [][]T, p int) []T {
+	for i, l := range lists {
+		if j := nanIndex(l); j >= 0 {
+			panicNaN(fmt.Sprintf("lists[%d]", i), j)
+		}
+	}
 	return kway.Merge(lists, p)
 }
 
@@ -141,6 +167,8 @@ type HierarchicalConfig = core.HierarchicalConfig
 // partition into blocks, then cheap local diagonal searches within each
 // block. Equivalent output to ParallelMerge; different cost structure.
 func HierarchicalMerge[T cmp.Ordered](a, b, out []T, cfg HierarchicalConfig) {
+	noNaN("a", a)
+	noNaN("b", b)
 	core.HierarchicalMerge(a, b, out, cfg)
 }
 
@@ -155,17 +183,23 @@ func PartitionRanks[T cmp.Ordered](a, b []T, ranks []int) []Point {
 // with x copies in a and y in b appears max(x,y) times), computed with up
 // to p workers over a merge-path partition.
 func Union[T cmp.Ordered](a, b []T, p int) []T {
+	noNaN("a", a)
+	noNaN("b", b)
 	return setops.Union(a, b, p)
 }
 
 // Intersect returns the sorted multiset intersection (min(x,y) copies).
 func Intersect[T cmp.Ordered](a, b []T, p int) []T {
+	noNaN("a", a)
+	noNaN("b", b)
 	return setops.Intersect(a, b, p)
 }
 
 // Diff returns the sorted multiset difference a minus b (max(0,x-y)
 // copies).
 func Diff[T cmp.Ordered](a, b []T, p int) []T {
+	noNaN("a", a)
+	noNaN("b", b)
 	return setops.Diff(a, b, p)
 }
 
@@ -176,6 +210,7 @@ func Diff[T cmp.Ordered](a, b []T, p int) []T {
 // round barriers. grain is the leaf chunk size (<2 selects a default).
 // Output is identical to Sort's.
 func SortDataflow[T cmp.Ordered](s []T, p, grain int) {
+	noNaN("s", s)
 	psort.SortDataflow(s, p, grain)
 }
 
@@ -205,11 +240,7 @@ type BatchPair[T cmp.Ordered] struct {
 // pair sizes cannot starve workers, unlike one-goroutine-per-pair
 // scheduling.
 func MergeBatch[T cmp.Ordered](pairs []BatchPair[T], p int) {
-	conv := make([]batch.Pair[T], len(pairs))
-	for i, pr := range pairs {
-		conv[i] = batch.Pair[T]{A: pr.A, B: pr.B, Out: pr.Out}
-	}
-	batch.Merge(conv, p)
+	batch.Merge(batchPairs(pairs), p)
 }
 
 // BatchWorkerLoad reports one worker's share of a MergeBatchStats round:
@@ -221,9 +252,48 @@ type BatchWorkerLoad = stats.WorkerLoad
 // MergeBatchStats is MergeBatch plus observability: the identical
 // globally balanced round, returning one BatchWorkerLoad per worker used.
 func MergeBatchStats[T cmp.Ordered](pairs []BatchPair[T], p int) []BatchWorkerLoad {
+	return stats.WorkerLoads(batch.MergeWithLoads(batchPairs(pairs), p))
+}
+
+// batchPairs converts pairs to the batch layer's type, checking every
+// input for NaN on the way.
+func batchPairs[T cmp.Ordered](pairs []BatchPair[T]) []batch.Pair[T] {
 	conv := make([]batch.Pair[T], len(pairs))
 	for i, pr := range pairs {
+		if j := nanIndex(pr.A); j >= 0 {
+			panicNaN(fmt.Sprintf("pairs[%d].A", i), j)
+		}
+		if j := nanIndex(pr.B); j >= 0 {
+			panicNaN(fmt.Sprintf("pairs[%d].B", i), j)
+		}
 		conv[i] = batch.Pair[T]{A: pr.A, B: pr.B, Out: pr.Out}
 	}
-	return stats.WorkerLoads(batch.MergeWithLoads(conv, p))
+	return conv
+}
+
+// noNaN panics if s holds a NaN, naming list and the index of the
+// first one (see the package doc).
+func noNaN[T cmp.Ordered](list string, s []T) {
+	if i := nanIndex(s); i >= 0 {
+		panicNaN(list, i)
+	}
+}
+
+// nanIndex returns the index of the first NaN in s, or -1. Only a
+// []float32 or []float64 is scanned; no other element type has a NaN.
+func nanIndex[T cmp.Ordered](s []T) int {
+	var zero T
+	switch any(zero).(type) {
+	case float32, float64:
+		for i, x := range s {
+			if x != x {
+				return i
+			}
+		}
+	}
+	return -1
+}
+
+func panicNaN(list string, i int) {
+	panic(fmt.Sprintf("mergepath: %s holds NaN at index %d; float input must be NaN-free", list, i))
 }

@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt-check test race verify cover bench bench-kway experiments fmt serve loadtest loadtest-wire chaos soak lint-docs fuzz-wire fuzz-sort fuzz-kway kway-diff spawn-check cluster cluster-quick jobs-soak jobs-soak-quick restart-quick restart-soak corrupt-check be-check
+.PHONY: all build vet fmt-check test race verify cover bench bench-kway experiments fmt serve loadtest chaos soak lint-docs fuzz-wire fuzz-sort fuzz-kway kway-diff spawn-check cluster cluster-quick jobs-soak jobs-soak-quick restart-quick restart-soak corrupt-check be-check
 
 all: build vet test
 
@@ -131,24 +131,16 @@ fmt:
 serve:
 	$(GO) run ./cmd/mergepathd -addr :8080
 
-# Closed-loop load test against an in-process daemon; the JSON summary is
-# the service-throughput benchmark artifact tracked across PRs. The run
-# deliberately overdrives a tight overload target through the resilient
-# client so the artifact records the whole control loop: degradation
-# timeline, 429s with honored Retry-After, hedges, breaker cycles (X14).
+# Closed-loop load test against an in-process daemon; the JSON summary
+# is BENCH_server.json, the record of EXPERIMENTS X14's control loop.
+# Service throughput and latency are measured by perfbench (BENCHMARK.json),
+# not here. The run deliberately overdrives a tight overload target
+# through the resilient client so the file records the whole loop:
+# degradation timeline, 429s with honored Retry-After, hedges, breaker
+# cycles.
 loadtest:
 	$(GO) run ./cmd/mergeload -duration 5s -conc 64 -size 4096 -dist skew \
 		-resilient -hedge-after 25ms -overload-target 2ms -overload-interval 50ms \
-		-json BENCH_server.json
-
-# The loadtest run plus the wire-format decode comparison: the same 1M
-# element merges driven as JSON and as binary frames against a clean
-# in-process daemon, recorded in BENCH_server.json's `wire` section.
-# The protocol's reason to exist is decode_p99_ratio well under 1/3.
-loadtest-wire:
-	$(GO) run ./cmd/mergeload -duration 5s -conc 64 -size 4096 -dist skew \
-		-resilient -hedge-after 25ms -overload-target 2ms -overload-interval 50ms \
-		-wire -wire-size 1048576 \
 		-json BENCH_server.json
 
 # Chaos pass: full load run with fault injection (panics, errors, latency)

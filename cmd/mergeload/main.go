@@ -1,19 +1,19 @@
-// Command mergeload is a load generator for mergepathd: it drives
-// configurable closed-loop (fixed concurrency) or open-loop (fixed
-// arrival rate) merge/sort/k-way traffic at a daemon, then prints a
-// throughput/latency table and, with -json, a machine-readable summary
-// (BENCH_server.json in the Makefile) so the service's scaling curve is
-// part of the benchmark trajectory.
+// Command mergeload is a load generator for mergepathd and mergerouter:
+// it drives configurable closed-loop (fixed concurrency) or open-loop
+// (fixed arrival rate) JSON merge/sort/k-way/setops traffic at a daemon,
+// then prints a throughput/latency table and, with -json, a
+// machine-readable summary. `make loadtest` writes BENCH_server.json,
+// the record of EXPERIMENTS X14's overload control loop; the benchmark
+// PRs are judged by is perfbench (BENCHMARK.json), not this tool.
 //
 // With no -url it self-serves: an in-process server on a loopback
-// listener, so `make loadtest` measures the full HTTP stack with zero
-// setup.
+// listener, so a run exercises the full HTTP stack with zero setup.
 //
 // Usage:
 //
 //	mergeload -duration 5s -conc 16 -size 256 -dist skew
 //	mergeload -url http://localhost:8080 -rate 2000 -endpoint mergek
-//	mergeload -json BENCH_server.json
+//	mergeload -endpoint merge -size 100000 -dist fixed -workers 4   # X13
 //	mergeload -chaos -duration 3s            # self-serve with fault injection
 //	mergeload -resilient -retries 3 -hedge-after 20ms   # retrying/hedging client
 //	mergeload -resilient -overload-target 2ms -overload-interval 50ms  # drive the shed loop
@@ -45,7 +45,6 @@ import (
 
 	"mergepath/internal/fault"
 	"mergepath/internal/harness"
-	"mergepath/internal/jobs"
 	"mergepath/internal/overload"
 	"mergepath/internal/resilience"
 	"mergepath/internal/server"
@@ -76,14 +75,7 @@ type options struct {
 	hedgeAfter time.Duration
 	budgetRate float64
 
-	jobsMode    bool
-	jobsRecords int
-	jobsCount   int
-	jobsMemory  int
-
-	maxBody  int64
-	wireMode bool
-	wireSize int
+	maxBody int64
 }
 
 // defaultChaosSpec is the -chaos fault mix: enough panics and errors to
@@ -96,8 +88,7 @@ const defaultChaosSpec = "*:panic=0.02,error=0.02,latency=1ms@0.2"
 type canned struct {
 	path  string
 	body  []byte
-	ctype string // request Content-Type and Accept; empty = application/json
-	elems int    // elements the server must produce for this request
+	elems int // elements the server must produce for this request
 }
 
 func main() {
@@ -122,13 +113,7 @@ func main() {
 	flag.IntVar(&o.retries, "retries", 2, "resilient: max retries per request")
 	flag.DurationVar(&o.hedgeAfter, "hedge-after", 0, "resilient: duplicate a request if no response after this long (0 = off)")
 	flag.Float64Var(&o.budgetRate, "retry-budget", 50, "resilient: retry token refill rate per second")
-	flag.BoolVar(&o.jobsMode, "jobs", false, "drive the async dataset/jobs API instead of the request endpoints: upload, submit sortfile jobs, poll, stream + verify results")
-	flag.IntVar(&o.jobsRecords, "jobs-records", 1<<18, "jobs mode: dataset size in 8-byte records")
-	flag.IntVar(&o.jobsCount, "jobs-count", 4, "jobs mode: sortfile jobs to run against the dataset")
-	flag.IntVar(&o.jobsMemory, "jobs-memory", 1<<14, "jobs mode, self-serve: per-job memory budget in records (keep it well under -jobs-records to force external merge passes)")
 	flag.Int64Var(&o.maxBody, "max-body", 0, "self-serve: request body cap in bytes (0 = server default; raise for -size beyond ~500k elements of JSON)")
-	flag.BoolVar(&o.wireMode, "wire", false, "after the main run, compare JSON vs binary-frame decode cost against a dedicated in-process daemon (adds a wire section to -json output)")
-	flag.IntVar(&o.wireSize, "wire-size", 1<<20, "wire comparison: total elements per merge request")
 	flag.Parse()
 
 	if o.chaos && o.url != "" {
@@ -145,11 +130,6 @@ func main() {
 			Overload: overload.Config{
 				Target:   o.overloadTarget,
 				Interval: o.overloadInterval,
-			},
-			Jobs: jobs.Config{
-				MemoryRecords: o.jobsMemory,
-				MaxConcurrent: 2,
-				MaxQueued:     16,
 			},
 		}
 		if o.chaos {
@@ -191,14 +171,6 @@ func main() {
 	target := detectTarget(base, client)
 	fmt.Printf("target: %s at %s\n", target, base)
 
-	if o.jobsMode {
-		jb := runJobsBench(base, client, o)
-		if o.jsonPath != "" {
-			writeJobsJSON(o, jb, base, client, target)
-		}
-		return
-	}
-
 	run(base, client, rclient, reqs, o.warmup, o, nil) // warmup, result discarded
 	timeline := newStateTimeline()
 	res := run(base, client, rclient, reqs, o.duration, o, timeline)
@@ -213,16 +185,12 @@ func main() {
 		printClientReport(rclient)
 	}
 	timeline.print()
-	var wdoc *wireBenchDoc
-	if o.wireMode {
-		wdoc = runWireCompare(o)
-	}
 	if o.jsonPath != "" {
 		var snap *server.MetricsSnapshot
 		if target != "router" {
 			snap = fetchServerSnapshot(base, client)
 		}
-		writeJSON(o, res, base, client, snap, rclient, timeline, target, wdoc)
+		writeJSON(o, res, base, client, snap, rclient, timeline, target)
 	}
 	if o.chaos {
 		verifyChaos(srv, base, client, res)
@@ -573,32 +541,13 @@ func run(base string, client *http.Client, rclient *resilience.Client, reqs []ca
 
 	fire := func(c canned) {
 		h, okCount := res.endpointSlot(c.path)
-		ctype := c.ctype
-		if ctype == "" {
-			ctype = "application/json"
-		}
 		t0 := time.Now()
 		var resp *http.Response
 		var err error
 		if rclient != nil {
-			var hdr http.Header
-			if c.ctype != "" {
-				// Symmetric format: a binary request also asks for a
-				// binary response, so both directions are measured.
-				hdr = http.Header{"Accept": []string{c.ctype}}
-			}
-			resp, err = rclient.PostHeaders(context.Background(), base+c.path, ctype, hdr, c.body)
+			resp, err = rclient.Post(context.Background(), base+c.path, "application/json", c.body)
 		} else {
-			req, rerr := http.NewRequest(http.MethodPost, base+c.path, bytes.NewReader(c.body))
-			if rerr != nil {
-				res.errs.Add(1)
-				return
-			}
-			req.Header.Set("Content-Type", ctype)
-			if c.ctype != "" {
-				req.Header.Set("Accept", c.ctype)
-			}
-			resp, err = client.Do(req)
+			resp, err = client.Post(base+c.path, "application/json", bytes.NewReader(c.body))
 		}
 		lat := time.Since(t0)
 		if err != nil {
@@ -812,17 +761,10 @@ type benchDoc struct {
 	// observed over the measured run (polled from /healthz).
 	OverloadTimeline []stateChange   `json:"overload_timeline,omitempty"`
 	ServerMetrics    json.RawMessage `json:"server_metrics,omitempty"`
-	// Jobs is the -jobs mode section: out-of-core sortfile jobs with
-	// per-phase timings (queue wait, copy-in, run formation, merge).
-	Jobs *jobsBenchDoc `json:"jobs,omitempty"`
-	// Wire is the -wire section: JSON vs binary-frame decode cost on
-	// large merges, measured against a dedicated in-process daemon.
-	Wire *wireBenchDoc `json:"wire,omitempty"`
 }
 
-func writeJSON(o options, res *result, base string, client *http.Client, snap *server.MetricsSnapshot, rclient *resilience.Client, tl *stateTimeline, target string, wdoc *wireBenchDoc) {
+func writeJSON(o options, res *result, base string, client *http.Client, snap *server.MetricsSnapshot, rclient *resilience.Client, tl *stateTimeline, target string) {
 	var doc benchDoc
-	doc.Wire = wdoc
 	doc.Config.Target = target
 	doc.Config.Mode = "closed"
 	if o.rate > 0 {

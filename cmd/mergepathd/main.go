@@ -15,7 +15,7 @@
 //	mergepathd -debug-addr localhost:6060          # pprof sidecar
 //	mergepathd -access-log                         # per-request span log
 //	mergepathd -fault 'sort:panic=0.05;*:latency=1ms@0.2'   # chaos mode
-//	mergepathd -overload-target 10ms -strict-input          # tuning + forensic 400s
+//	mergepathd -overload-target 10ms                        # overload tuning
 //	mergepathd -spill-dir /var/tmp/mp -job-memory 1048576   # out-of-core sort jobs
 //	curl -s localhost:8080/v1/merge -d '{"a":[1,3],"b":[2,4]}'
 //	curl -s localhost:8080/metrics/prom
@@ -60,7 +60,6 @@ func main() {
 
 		overloadTarget   = flag.Duration("overload-target", 5*time.Millisecond, "CoDel queue-sojourn target; sustained waits above it degrade, then shed with 429")
 		overloadInterval = flag.Duration("overload-interval", 100*time.Millisecond, "overload evaluation interval (the window the minimum sojourn is tracked over)")
-		strictInput      = flag.Bool("strict-input", false, "sortedness 400s name the first violating index and values (forensic mode)")
 
 		spillDir       = flag.String("spill-dir", "", "spill directory for datasets and job files (empty = a private temp dir, removed on exit)")
 		jobMemory      = flag.Int("job-memory", 1<<20, "per-job in-memory budget in records: the external sort's M")
@@ -98,9 +97,8 @@ func main() {
 			Target:   *overloadTarget,
 			Interval: *overloadInterval,
 		},
-		StrictInput: *strictInput,
-		Fault:       inj,
-		AccessLog:   *accessLog,
+		Fault:     inj,
+		AccessLog: *accessLog,
 		Jobs: jobs.Config{
 			Dir:            *spillDir,
 			MemoryRecords:  *jobMemory,

@@ -27,8 +27,9 @@ type Config struct {
 	// formation buffer (M records sorted at a time) and the merge phase's
 	// per-run input windows plus output buffer. The engine's own peak
 	// allocation is reported in Stats.PeakBufferRecords and never exceeds
-	// M. Run formation's psort call allocates its own ping-pong scratch
-	// of the chunk's size besides, so that phase holds up to 2M records.
+	// M. Run formation's psort call allocates a destination of the
+	// chunk's size besides and copies the sorted result back, so that
+	// phase holds up to 2M records.
 	MemoryRecords int
 	// Workers is the parallelism of the in-memory phases (run sorting
 	// and in-window merging). Default 1.

@@ -33,7 +33,6 @@ import (
 	"log"
 	"mime"
 	"net/http"
-	"sort"
 	"strings"
 	"time"
 
@@ -481,14 +480,17 @@ func (rt *Router) handleMerge(r *http.Request, tr *server.Trace) *reply {
 		return rt.forwardWhole(r, tr, "/v1/merge", raw)
 	}
 	// The split searches assume sorted inputs; garbage in would scatter
-	// into windows whose sub-merges can silently succeed. Check here so
-	// the router's 400 matches the node's instead of returning a wrong
-	// 200 — the scan is O(n) but so is the node-side check it replaces.
-	for name, s := range map[string][]int64{"a": req.A, "b": req.B} {
-		if !sort.SliceIsSorted(s, func(i, j int) bool { return s[i] < s[j] }) {
-			tr.Span(StageDecode, t0)
-			return errReply(http.StatusBadRequest, fmt.Errorf("input %q is not sorted", name))
-		}
+	// into windows whose sub-merges can silently succeed. Run the node's
+	// own check, a then b as the node does, so the router's 400 is the
+	// node's byte for byte instead of a wrong 200 — the scan is O(n) but
+	// so is the node-side check it replaces.
+	err := server.CheckSorted("a", req.A)
+	if err == nil {
+		err = server.CheckSorted("b", req.B)
+	}
+	if err != nil {
+		tr.Span(StageDecode, t0)
+		return errReply(http.StatusBadRequest, err)
 	}
 	tr.Span(StageDecode, t0)
 	return rt.scatterMerge(r, tr, req, raw)

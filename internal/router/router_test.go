@@ -159,6 +159,24 @@ func TestRouterScatterUnsortedRejected(t *testing.T) {
 	if err := json.Unmarshal(buf, &er); err != nil || !strings.Contains(er.Error, "not sorted") {
 		t.Fatalf("error body %q (%v)", buf, err)
 	}
+
+	// With both lists unsorted the router must name the same list, index
+	// and values as the node, every time: a then b, never a random pick.
+	rng := rand.New(rand.NewSource(7))
+	unsorted := func() []int64 {
+		s := seq(0, 12)
+		i := 1 + rng.Intn(len(s)-1)
+		s[i-1], s[i] = s[i], s[i-1]
+		return s
+	}
+	for try := 0; try < 20; try++ {
+		body, _ := json.Marshal(server.MergeRequest{A: unsorted(), B: unsorted()})
+		_, viaRouter := postRaw(t, c.ts.URL, "/v1/merge", body)
+		_, viaNode := postRaw(t, c.nodeURLs[0], "/v1/merge", body)
+		if !bytes.Equal(viaRouter, viaNode) {
+			t.Fatalf("try %d: router 400 %q, node 400 %q", try, viaRouter, viaNode)
+		}
+	}
 }
 
 func TestRouterForwardsAllEndpoints(t *testing.T) {

@@ -88,26 +88,20 @@ type floatResult struct {
 	Result []float64 `json:"result"` // the computed array
 }
 
-// checkSorted validates ascending order. Generic because the binary
-// frame carries float64 arrays over the same endpoints as JSON's int64.
-// Float64 arrays reach it NaN-free: decodeFrame rejects a NaN-bearing
-// frame with a 400 first (docs/WIRE.md), so cmp.Less here and the
-// kernels' < agree on one order, with ±0 equal.
-func checkSorted[T cmp.Ordered](name string, s []T) error {
-	if !slices.IsSorted(s) {
-		return fmt.Errorf("input %q is not sorted", name)
+// CheckSorted validates that the request array called name is in
+// ascending order; the error is the 400 text every tier returns for it.
+// The success path is one slices.IsSorted scan. Only on failure does a
+// second scan name the first violating index and both values, so a
+// client learns exactly where its sort invariant broke. Generic because
+// the binary frame carries float64 arrays over the same endpoints as
+// JSON's int64. Float64 arrays reach it NaN-free: decodeFrame rejects a
+// NaN-bearing frame with a 400 first (docs/WIRE.md), so cmp.Less here
+// and the kernels' < agree on one order, with ±0 equal.
+func CheckSorted[T cmp.Ordered](name string, s []T) error {
+	if slices.IsSorted(s) {
+		return nil
 	}
-	return nil
-}
-
-// checkSortedStrict is the -strict-input variant of checkSorted: it runs
-// the verify package's scan and names the first violating index, so a
-// client shipping a 10M-element array learns exactly where its sort
-// invariant broke instead of re-deriving it locally.
-func checkSortedStrict[T cmp.Ordered](name string, s []T) error {
-	if i := verify.FirstUnsorted(s); i >= 0 {
-		return fmt.Errorf("input %q is not sorted: element %d (%v) < element %d (%v)",
-			name, i, s[i], i-1, s[i-1])
-	}
-	return nil
+	i := verify.FirstUnsorted(s)
+	return fmt.Errorf("input %q is not sorted: element %d (%v) < element %d (%v)",
+		name, i, s[i], i-1, s[i-1])
 }

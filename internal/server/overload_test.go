@@ -13,6 +13,7 @@ import (
 
 	"mergepath/internal/fault"
 	"mergepath/internal/overload"
+	"mergepath/internal/wire"
 )
 
 // pressCtrl drives a controller into the given state using its public
@@ -173,40 +174,47 @@ func TestOverloadTripsUnderInjectedLatency(t *testing.T) {
 	}
 }
 
-func TestStrictInputNamesViolatingIndex(t *testing.T) {
-	_, strict := newTestServer(t, Config{StrictInput: true,
-		Overload: overload.Config{Target: time.Second}})
-	buf, _ := json.Marshal(MergeRequest{A: []int64{1, 5, 3, 7}, B: []int64{1}})
-	resp, err := strict.Client().Post(strict.URL+"/v1/merge", "application/json", bytes.NewReader(buf))
-	if err != nil {
-		t.Fatal(err)
+// TestUnsortedInputNamesViolatingIndex pins the one sortedness 400 on
+// the default Config: whatever the endpoint and codec, the message names
+// the list, the first violating index and both values.
+func TestUnsortedInputNamesViolatingIndex(t *testing.T) {
+	_, ts := newTestServer(t, Config{Overload: overload.Config{Target: time.Second}})
+	jsonBody := func(v any) []byte {
+		buf, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return buf
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("status %d, want 400", resp.StatusCode)
+	cases := []struct {
+		name, path, ctype string
+		body              []byte
+		want              string
+	}{
+		{"json merge", "/v1/merge", "application/json",
+			jsonBody(MergeRequest{A: []int64{1, 5, 3, 7}, B: []int64{1}}),
+			`input "a" is not sorted: element 2 (3) < element 1 (5)`},
+		{"binary float64 mergek", "/v1/mergek", wire.ContentType,
+			wire.AppendFloat64(nil, []float64{0.5, 1.5}, []float64{2.5, 3, -1.25, 4}),
+			`input "lists[1]" is not sorted: element 2 (-1.25) < element 1 (3)`},
+		{"json setops", "/v1/setops", "application/json",
+			jsonBody(SetOpsRequest{Op: "union", A: []int64{1, 2}, B: []int64{4, 9, 2}}),
+			`input "b" is not sorted: element 2 (2) < element 1 (9)`},
 	}
-	var eresp ErrorResponse
-	if err := json.NewDecoder(resp.Body).Decode(&eresp); err != nil {
-		t.Fatal(err)
-	}
-	// A[2]=3 < A[1]=5 is the first violation.
-	if !strings.Contains(eresp.Error, "element 2 (3)") || !strings.Contains(eresp.Error, "element 1 (5)") {
-		t.Errorf("strict 400 %q does not name the violating pair", eresp.Error)
-	}
-
-	// Default mode keeps the terse contract message.
-	_, lax := newTestServer(t, Config{Overload: overload.Config{Target: time.Second}})
-	resp2, err := lax.Client().Post(lax.URL+"/v1/merge", "application/json", bytes.NewReader(buf))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp2.Body.Close()
-	var eresp2 ErrorResponse
-	if err := json.NewDecoder(resp2.Body).Decode(&eresp2); err != nil {
-		t.Fatal(err)
-	}
-	if eresp2.Error != `input "a" is not sorted` {
-		t.Errorf("default 400 message changed: %q", eresp2.Error)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			st, _, body := doRaw(t, ts, tc.path, tc.ctype, "application/json", tc.body)
+			if st != http.StatusBadRequest {
+				t.Fatalf("status %d, want 400 (%s)", st, body)
+			}
+			var eresp ErrorResponse
+			if err := json.Unmarshal(body, &eresp); err != nil {
+				t.Fatal(err)
+			}
+			if eresp.Error != tc.want {
+				t.Errorf("400 message %q, want %q", eresp.Error, tc.want)
+			}
+		})
 	}
 }
 

@@ -77,13 +77,6 @@ type Config struct {
 	// Retry-After). Zero values select the controller's documented
 	// defaults; the controller is always on.
 	Overload overload.Config
-	// StrictInput upgrades sortedness-violation 400s with forensic
-	// detail: the error names the first violating index and the
-	// offending pair of values (internal/verify.FirstUnsorted), so a
-	// client feeding garbage learns exactly where instead of hunting.
-	// Off by default because the message grows with no benefit for
-	// well-behaved clients.
-	StrictInput bool
 	// Fault, when non-nil, injects panics/errors/latency into round
 	// execution keyed by op (internal/fault) — chaos testing for the
 	// panic-isolation and cancellation machinery. Nil in production.
@@ -418,18 +411,6 @@ func (s *Server) execute(r *http.Request, j *job) (int, error) {
 
 func errBody(err error) ErrorResponse { return ErrorResponse{Error: err.Error()} }
 
-// checkInput validates sortedness of a request array. Both modes run the
-// same O(n) scan; StrictInput buys a forensic error message (first
-// violating index and values) for the price of a second scan on the
-// failure path only. Generic because the binary frame carries float64
-// arrays over the same endpoints.
-func checkInput[T cmp.Ordered](s *Server, name string, v []T) error {
-	if s.cfg.StrictInput {
-		return checkSortedStrict(name, v)
-	}
-	return checkSorted(name, v)
-}
-
 // mergeTwo validates a and b and merges them into out through the
 // pool. Small int64 merges take the coalescing pair path (the batch
 // layer is int64-typed); everything else — large merges and all float64
@@ -438,10 +419,10 @@ func checkInput[T cmp.Ordered](s *Server, name string, v []T) error {
 // element spread feeds the imbalance metrics (the Theorem 5 check: it
 // should sit at ~1.0). Returns execute()'s status mapping.
 func mergeTwo[T cmp.Ordered](s *Server, r *http.Request, a, b, out []T) (int, error) {
-	if err := checkInput(s, "a", a); err != nil {
+	if err := CheckSorted("a", a); err != nil {
 		return http.StatusBadRequest, err
 	}
-	if err := checkInput(s, "b", b); err != nil {
+	if err := CheckSorted("b", b); err != nil {
 		return http.StatusBadRequest, err
 	}
 	j := s.newJob("merge", r)
@@ -487,7 +468,7 @@ func sortData[T cmp.Ordered](s *Server, r *http.Request, out, data []T) (int, er
 // empty request yields a null result.
 func mergeKLists[T cmp.Ordered](s *Server, r *http.Request, lists [][]T, dst []T) (int, []T, error) {
 	for i, list := range lists {
-		if err := checkInput(s, "lists["+strconv.Itoa(i)+"]", list); err != nil {
+		if err := CheckSorted("lists["+strconv.Itoa(i)+"]", list); err != nil {
 			return http.StatusBadRequest, nil, err
 		}
 	}
@@ -688,10 +669,10 @@ func (s *Server) handleSetOps(r *http.Request) (int, any) {
 	default:
 		return http.StatusBadRequest, errBody(errors.New(`op must be "union", "intersect" or "diff"`))
 	}
-	if err := checkInput(s, "a", req.A); err != nil {
+	if err := CheckSorted("a", req.A); err != nil {
 		return http.StatusBadRequest, errBody(err)
 	}
-	if err := checkInput(s, "b", req.B); err != nil {
+	if err := CheckSorted("b", req.B); err != nil {
 		return http.StatusBadRequest, errBody(err)
 	}
 	var result []int64
@@ -727,10 +708,10 @@ func (s *Server) handleSelect(r *http.Request) (int, any) {
 	if status, err := decode(r, &req); err != nil {
 		return status, errBody(err)
 	}
-	if err := checkInput(s, "a", req.A); err != nil {
+	if err := CheckSorted("a", req.A); err != nil {
 		return http.StatusBadRequest, errBody(err)
 	}
-	if err := checkInput(s, "b", req.B); err != nil {
+	if err := CheckSorted("b", req.B); err != nil {
 		return http.StatusBadRequest, errBody(err)
 	}
 	if req.K < 0 || req.K > len(req.A)+len(req.B) {

@@ -2,8 +2,8 @@
 // little-endian wire format negotiated on the /v1 endpoints via
 // Content-Type/Accept (see docs/WIRE.md for the byte-level spec).
 //
-// JSON decode is a top-two latency stage on the service (BENCH_server:
-// parsing numbers costs more than merging them), so the frame carries
+// JSON decode is a top-two latency stage on the service (parsing numbers
+// costs more than merging them; EXPERIMENTS X16), so the frame carries
 // int64/float64 arrays as raw little-endian payloads behind an 8-byte
 // header and a per-list length table. Decode sizes one
 // sync.Pool-recycled arena from the validated length table — a frame

@@ -19,10 +19,11 @@
 //	   +--(RecoverIntervals good)------+  +----(RecoverIntervals good)----+
 //
 // An interval is *bad* when the minimum queue sojourn observed during it
-// exceeds Target (or when nothing dequeued at all while a backlog was
-// standing). In degraded the server browns out — smaller coalesce
-// window, capped per-job parallelism — but still serves everything; in
-// shedding it refuses new work with 429 and a computed Retry-After.
+// exceeds Target (or when nothing dequeued at all while a backlog stood
+// through the whole interval). In degraded the server browns out —
+// smaller coalesce window, capped per-job parallelism — but still serves
+// everything; in shedding it refuses new work with 429 and a computed
+// Retry-After.
 // Stepping down (shedding→degraded→healthy) requires RecoverIntervals
 // consecutive good intervals per step, so recovery is clean rather than
 // oscillating on the first quiet millisecond.
@@ -127,13 +128,15 @@ func (c Config) withDefaults() Config {
 // Controller tracks queue sojourn, backlog and drain rate, and runs the
 // healthy/degraded/shedding state machine.
 type Controller struct {
-	cfg Config
+	cfg   Config
+	clock func() time.Time // time.Now; tests substitute a synthetic clock
 
 	state   atomic.Int32 // State; atomic so brownout checks are lock-free
 	backlog atomic.Int64 // elements admitted but not yet finished
 
 	mu            sync.Mutex
 	intervalStart time.Time
+	standingSince time.Time     // when the backlog last rose from zero
 	minSojourn    time.Duration // min sojourn observed this interval
 	sawSojourn    bool          // any dequeue observed this interval
 	lastMin       time.Duration // min sojourn of the last completed interval
@@ -151,7 +154,7 @@ type Controller struct {
 
 // New builds a Controller; the first interval starts now.
 func New(cfg Config) *Controller {
-	return &Controller{cfg: cfg.withDefaults(), intervalStart: time.Now()}
+	return &Controller{cfg: cfg.withDefaults(), clock: time.Now, intervalStart: time.Now()}
 }
 
 // Config reports the effective (defaulted) configuration.
@@ -162,7 +165,20 @@ func (c *Controller) Config() Config { return c.cfg }
 func (c *Controller) State() State { return State(c.state.Load()) }
 
 // Enqueue records n elements entering the admission backlog.
-func (c *Controller) Enqueue(n int) { c.backlog.Add(int64(n)) }
+func (c *Controller) Enqueue(n int) { c.enqueue(n, c.clock()) }
+
+func (c *Controller) enqueue(n int, now time.Time) {
+	if n <= 0 || c.backlog.Add(int64(n)) != int64(n) {
+		return
+	}
+	// The backlog rose from zero: work stands from now on. Racing rises
+	// keep the latest stamp, which is the one still standing.
+	c.mu.Lock()
+	if now.After(c.standingSince) {
+		c.standingSince = now
+	}
+	c.mu.Unlock()
+}
 
 // Done records n elements leaving the backlog (finished, shed at flush,
 // or dropped at dequeue).
@@ -174,7 +190,7 @@ func (c *Controller) Backlog() int64 { return c.backlog.Load() }
 // ObserveSojourn records one job's queue wait (submit → dequeue). This
 // is the controller's congestion signal: the per-interval minimum of
 // these is compared against Target.
-func (c *Controller) ObserveSojourn(wait time.Duration) { c.observeSojourn(wait, time.Now()) }
+func (c *Controller) ObserveSojourn(wait time.Duration) { c.observeSojourn(wait, c.clock()) }
 
 func (c *Controller) observeSojourn(wait time.Duration, now time.Time) {
 	c.mu.Lock()
@@ -204,7 +220,7 @@ func (c *Controller) ObserveDrain(elems int, took time.Duration) {
 
 // Admit decides one new request's fate: admitted (true, 0) or shed
 // (false, computed Retry-After). Only the shedding state refuses work.
-func (c *Controller) Admit() (bool, time.Duration) { return c.admit(time.Now()) }
+func (c *Controller) Admit() (bool, time.Duration) { return c.admit(c.clock()) }
 
 func (c *Controller) admit(now time.Time) (bool, time.Duration) {
 	c.mu.Lock()
@@ -275,9 +291,11 @@ func (c *Controller) tickLocked(now time.Time) {
 		switch {
 		case c.sawSojourn:
 			bad = c.minSojourn > c.cfg.Target
-		case c.backlog.Load() > 0:
-			// Nothing dequeued all interval while work was standing: the
-			// queue is stalled, which is at least as bad as slow.
+		case c.backlog.Load() > 0 && !c.standingSince.After(c.intervalStart):
+			// Nothing dequeued all interval while work stood through all
+			// of it: the queue is stalled, which is at least as bad as
+			// slow. Work that arrived mid-interval is judged by its
+			// sojourn when it dequeues, not by the boundary it straddles.
 			bad = true
 		}
 		c.lastMin, c.lastMinValid = c.minSojourn, c.sawSojourn
@@ -362,7 +380,7 @@ type Snapshot struct {
 // SnapshotNow settles elapsed intervals and returns the current view, so
 // metrics scrapes both report fresh state and drive recovery during
 // idle periods.
-func (c *Controller) SnapshotNow() Snapshot { return c.snapshotAt(time.Now()) }
+func (c *Controller) SnapshotNow() Snapshot { return c.snapshotAt(c.clock()) }
 
 func (c *Controller) snapshotAt(now time.Time) Snapshot {
 	c.mu.Lock()

@@ -15,6 +15,7 @@ func (c *clock) now() time.Time                    { return c.t }
 func (c *clock) advance(d time.Duration) time.Time { c.t = c.t.Add(d); return c.t }
 func newTestController(cl *clock, cfg Config) *Controller {
 	ctrl := New(cfg)
+	ctrl.clock = cl.now
 	ctrl.mu.Lock()
 	ctrl.intervalStart = cl.t
 	ctrl.mu.Unlock()
@@ -132,6 +133,58 @@ func TestStalledQueueIsBad(t *testing.T) {
 	if st := ctrl.State(); st != Healthy {
 		t.Fatalf("idle after drain: %v, want healthy", st)
 	}
+}
+
+func TestStraddlingJobIsNotStalled(t *testing.T) {
+	// A lone job submitted 1ms before an interval boundary and dequeued
+	// 1ms after it waited 2ms against a 1s target. The interval it was
+	// submitted in saw no dequeue, but no work stood through all of it,
+	// so it must not count as stalled.
+	cl := newClock()
+	cfg := Config{Target: time.Second, Interval: 100 * time.Millisecond}
+	ctrl := newTestController(cl, cfg)
+	cl.advance(cfg.Interval - time.Millisecond)
+	if ok, _ := ctrl.admit(cl.now()); !ok {
+		t.Fatal("admit refused on an idle controller")
+	}
+	ctrl.enqueue(4096, cl.now())
+	cl.advance(2 * time.Millisecond)
+	ctrl.observeSojourn(2*time.Millisecond, cl.now())
+	ctrl.Done(4096)
+	if st := ctrl.State(); st != Healthy {
+		t.Fatalf("after a 2ms sojourn straddling a boundary: %v, want healthy", st)
+	}
+	cl.advance(cfg.Interval)
+	if snap := ctrl.snapshotAt(cl.now()); snap.State != "healthy" || snap.TransitionsDegraded != 0 {
+		t.Fatalf("after the job's interval settled: %+v, want healthy with no transition", snap)
+	}
+}
+
+func TestRoundLongerThanIntervalIsBad(t *testing.T) {
+	// A job dequeues at once, then its round holds the pool for longer
+	// than an interval while the queue is empty. Its elements are still
+	// admitted but unfinished, so the interval with no dequeue counts as
+	// stalled: the verdict stays bad on purpose. Work arriving now waits
+	// out the rest of that round, and at a 1ms target a round longer than
+	// a whole interval means those waits exceed the target; without this
+	// verdict the controller would hear of it only at the next dequeue,
+	// an interval late.
+	cl := newClock()
+	ctrl := newTestController(cl, testCfg)
+	ctrl.enqueue(1<<20, cl.now())
+	cl.advance(time.Millisecond / 10)
+	ctrl.observeSojourn(time.Millisecond/10, cl.now())
+	cl.advance(testCfg.Interval + testCfg.Interval/2) // the round runs on
+	ctrl.admit(cl.now())
+	if st := ctrl.State(); st != Healthy {
+		t.Fatalf("after the dequeue's own interval: %v, want healthy", st)
+	}
+	cl.advance(testCfg.Interval)
+	ctrl.admit(cl.now())
+	if st := ctrl.State(); st != Degraded {
+		t.Fatalf("after a whole interval inside one round: %v, want degraded", st)
+	}
+	ctrl.Done(1 << 20)
 }
 
 func TestLongIdleGapFastForwards(t *testing.T) {

@@ -33,21 +33,9 @@ const (
 // the default 250ms interval means ~500ms of silence, which is real.
 const pollDownAfter = 2
 
-// stateName maps a tier to its /healthz and /metrics wire name.
-func stateName(tier int) string {
-	switch tier {
-	case tierHealthy:
-		return "healthy"
-	case tierDegraded:
-		return "degraded"
-	case tierShedding:
-		return "shedding"
-	case tierDraining:
-		return "draining"
-	default:
-		return "down"
-	}
-}
+// tierNames maps a tier to its /healthz and /metrics wire name.
+var tierNames = [...]string{tierHealthy: "healthy", tierDegraded: "degraded", tierShedding: "shedding",
+	tierDraining: "draining", tierDown: "down"}
 
 // backend is one mergepathd node as the router sees it: its resilient
 // client (per-backend breakers, retries, budget), the last polled

@@ -2,9 +2,8 @@ package router
 
 import (
 	"encoding/json"
+	"maps"
 	"net/http"
-	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -19,9 +18,8 @@ import (
 // daemon's shape: fixed per-endpoint key set, per-stage histograms,
 // plus the routing-specific counters (scatter fan-out, reroutes).
 type metrics struct {
-	start     time.Time
-	endpoints map[string]*endpointMetrics
-	stages    map[string]*stats.Histogram
+	start time.Time
+	req   *server.RequestMetrics // per-endpoint outcomes, per-stage span latency
 
 	routed     atomic.Uint64 // requests forwarded whole to one backend
 	scattered  atomic.Uint64 // merges split across backends
@@ -33,56 +31,14 @@ type metrics struct {
 	fanout map[int]uint64 // scatter requests by window count
 }
 
-type endpointMetrics struct {
-	count   atomic.Uint64
-	err4xx  atomic.Uint64
-	err5xx  atomic.Uint64
-	latency stats.Histogram // successful requests only
-}
-
 // endpointNames is the fixed metric key set; one entry per /v1 route.
 var endpointNames = []string{"merge", "sort", "mergek", "setops", "select"}
 
 func newMetrics() *metrics {
-	m := &metrics{
-		start:     time.Now(),
-		endpoints: make(map[string]*endpointMetrics, len(endpointNames)),
-		stages:    make(map[string]*stats.Histogram, len(stageNames)),
-		fanout:    make(map[int]uint64),
-	}
-	for _, name := range endpointNames {
-		m.endpoints[name] = &endpointMetrics{}
-	}
-	for _, name := range stageNames {
-		m.stages[name] = &stats.Histogram{}
-	}
-	return m
-}
-
-// observe records one finished request against an endpoint. Only 2xx
-// requests feed the latency histogram (same policy as the node daemon).
-func (m *metrics) observe(endpoint string, status int, d time.Duration) {
-	e, ok := m.endpoints[endpoint]
-	if !ok {
-		return
-	}
-	e.count.Add(1)
-	switch {
-	case status >= 500:
-		e.err5xx.Add(1)
-	case status >= 400:
-		e.err4xx.Add(1)
-	default:
-		e.latency.Observe(d)
-	}
-}
-
-// observeSpans folds one request's spans into the per-stage histograms.
-func (m *metrics) observeSpans(spans []server.Span) {
-	for _, sp := range spans {
-		if h, ok := m.stages[sp.Stage]; ok {
-			h.Observe(sp.Dur)
-		}
+	return &metrics{
+		start:  time.Now(),
+		req:    server.NewRequestMetrics(endpointNames, stageNames),
+		fanout: make(map[int]uint64),
 	}
 }
 
@@ -119,6 +75,8 @@ type BackendSnapshot struct {
 	// Breakers is the per-endpoint circuit-breaker state of this
 	// backend's resilience client (path → closed/open/half-open).
 	Breakers map[string]string `json:"breakers,omitempty"`
+	// BreakersOpen counts the Breakers not closed (open or half-open).
+	BreakersOpen int `json:"breakers_open"`
 }
 
 // RoutingSnapshot aggregates the router's own decisions.
@@ -171,33 +129,16 @@ func (m *metrics) snapshot(reg *registry) MetricsSnapshot {
 			Failed:     m.failed.Load(),
 			BinaryHops: m.binaryHops.Load(),
 		},
-		Endpoints: make(map[string]server.EndpointSnapshot, len(m.endpoints)),
-		Stages:    make(map[string]stats.HistogramSnapshot, len(m.stages)),
 	}
+	s.Endpoints, s.Stages = m.req.Snapshot()
 	m.mu.Lock()
-	if len(m.fanout) > 0 {
-		s.Routing.Fanout = make(map[int]uint64, len(m.fanout))
-		for k, v := range m.fanout {
-			s.Routing.Fanout[k] = v
-		}
-	}
+	s.Routing.Fanout = maps.Clone(m.fanout)
 	m.mu.Unlock()
-	for name, e := range m.endpoints {
-		s.Endpoints[name] = server.EndpointSnapshot{
-			Count:   e.count.Load(),
-			Err4xx:  e.err4xx.Load(),
-			Err5xx:  e.err5xx.Load(),
-			Latency: e.latency.Snapshot(),
-		}
-	}
-	for name, h := range m.stages {
-		s.Stages[name] = h.Snapshot()
-	}
 	for _, b := range reg.backends {
 		b.mu.Lock()
 		bs := BackendSnapshot{
 			URL:        b.url,
-			State:      stateName(b.tierLocked()),
+			State:      tierNames[b.tierLocked()],
 			QueueDepth: b.health.QueueDepth,
 		}
 		if b.health.Overload != nil {
@@ -207,8 +148,11 @@ func (m *metrics) snapshot(reg *registry) MetricsSnapshot {
 		b.mu.Unlock()
 		bs.Requests = b.requests.Load()
 		bs.Errors = b.errors.Load()
-		if states := b.client.BreakerStates(); len(states) > 0 {
-			bs.Breakers = states
+		bs.Breakers = b.client.BreakerStates()
+		for _, st := range bs.Breakers {
+			if st != "closed" {
+				bs.BreakersOpen++
+			}
 		}
 		s.Backends = append(s.Backends, bs)
 	}
@@ -248,7 +192,7 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	best := tierDown
 	for _, b := range rt.reg.backends {
 		t := b.tier()
-		h.BackendStates[stateName(t)]++
+		h.BackendStates[tierNames[t]]++
 		if t < best {
 			best = t
 		}
@@ -278,85 +222,25 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	_ = enc.Encode(rt.m.snapshot(rt.reg))
 }
 
-// renderProm renders the router's Prometheus exposition from a
-// snapshot, in the node daemon's dialect with a mergerouter_ prefix.
-func renderProm(snap MetricsSnapshot) string {
-	w := promtext.NewWriter()
-
-	w.Gauge("mergerouter_uptime_seconds", "", "Seconds since the router started.", snap.UptimeSeconds)
-	w.Counter("mergerouter_routed_total", "", "Requests forwarded whole to a single backend.", float64(snap.Routing.Routed))
-	w.Counter("mergerouter_scattered_total", "", "Merges split across backends with the co-ranking cut.", float64(snap.Routing.Scattered))
-	w.Counter("mergerouter_rerouted_total", "", "Failover attempts retried against a different backend.", float64(snap.Routing.Rerouted))
-	w.Counter("mergerouter_failed_total", "", "Requests answered 502/503 by the router itself.", float64(snap.Routing.Failed))
-	w.Counter("mergerouter_binary_hops_total", "", "Scatter sub-requests encoded as binary frames (wire-speaking backends).", float64(snap.Routing.BinaryHops))
-
-	// Scatter fan-out distribution, one labelled series per observed
-	// window count.
-	fanouts := make([]int, 0, len(snap.Routing.Fanout))
-	for k := range snap.Routing.Fanout {
-		fanouts = append(fanouts, k)
-	}
-	sort.Ints(fanouts)
-	for _, k := range fanouts {
-		w.Counter("mergerouter_scatter_fanout_total", `windows="`+strconv.Itoa(k)+`"`,
-			"Scattered requests by window count.", float64(snap.Routing.Fanout[k]))
-	}
+// PromMetrics declares every series of the router's Prometheus
+// exposition on GET /metrics/prom, each with the MetricsSnapshot JSON
+// path it mirrors, in the node daemon's dialect.
+var PromMetrics = append([]promtext.Desc{
+	promtext.Gauge("mergerouter_uptime_seconds", "uptime_seconds", "Seconds since the router started."),
+	promtext.Counter("mergerouter_routed_total", "routing.routed", "Requests forwarded whole to a single backend."),
+	promtext.Counter("mergerouter_scattered_total", "routing.scattered", "Merges split across backends with the co-ranking cut."),
+	promtext.Counter("mergerouter_rerouted_total", "routing.rerouted", "Failover attempts retried against a different backend."),
+	promtext.Counter("mergerouter_failed_total", "routing.failed", "Requests answered 502/503 by the router itself."),
+	promtext.Counter("mergerouter_binary_hops_total", "routing.binary_hops", "Scatter sub-requests encoded as binary frames (wire-speaking backends)."),
+	promtext.Counter("mergerouter_scatter_fanout_total", "routing.fanout.*", "Scattered requests by window count.").By("windows"),
 
 	// Fleet view: one state gauge (one-hot by tier) and the polled load
 	// signals per backend.
-	for _, b := range snap.Backends {
-		lbl := `backend="` + b.URL + `"`
-		for t := tierHealthy; t <= tierDown; t++ {
-			v := 0.0
-			if stateName(t) == b.State {
-				v = 1
-			}
-			w.Gauge("mergerouter_backend_state", lbl+`,state="`+stateName(t)+`"`,
-				"Backend routing tier, one-hot: 1 on the series matching the current state.", v)
-		}
-		w.Gauge("mergerouter_backend_backlog_elements", lbl, "Backend's last-reported element backlog.", float64(b.BacklogElements))
-		w.Gauge("mergerouter_backend_queue_depth", lbl, "Backend's last-reported admission-queue depth.", float64(b.QueueDepth))
-		w.Gauge("mergerouter_backend_drain_elements_per_second", lbl, "Backend's last-reported EWMA element throughput.", b.DrainElemsPerSec)
-		w.Counter("mergerouter_backend_requests_total", lbl, "Whole- and sub-requests this router sent the backend.", float64(b.Requests))
-		w.Counter("mergerouter_backend_errors_total", lbl, "Transport failures and retryable-status responses from the backend.", float64(b.Errors))
-		open := 0
-		for _, st := range b.Breakers {
-			if st != "closed" {
-				open++
-			}
-		}
-		w.Gauge("mergerouter_backend_breakers_open", lbl, "Backend circuit breakers currently open or half-open.", float64(open))
-	}
-
-	// Per-endpoint request counters and latency summaries.
-	names := make([]string, 0, len(snap.Endpoints))
-	for name := range snap.Endpoints {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		e := snap.Endpoints[name]
-		lbl := `endpoint="` + name + `"`
-		w.Counter("mergerouter_requests_total", lbl, "Requests finished, by endpoint (all statuses).", float64(e.Count))
-		w.Counter("mergerouter_request_errors_total", lbl+`,class="4xx"`, "Error responses, by endpoint and status class.", float64(e.Err4xx))
-		w.Counter("mergerouter_request_errors_total", lbl+`,class="5xx"`, "Error responses, by endpoint and status class.", float64(e.Err5xx))
-		w.LatencySummary("mergerouter_request_latency_seconds", lbl,
-			"Latency of successful requests, by endpoint.", e.Latency)
-	}
-
-	// Per-stage span latency summaries, lifecycle order.
-	for _, name := range stageNames {
-		h, ok := snap.Stages[name]
-		if !ok {
-			continue
-		}
-		w.LatencySummary("mergerouter_stage_latency_seconds", `stage="`+name+`"`,
-			"Router lifecycle stage timings (all wall time).", h)
-	}
-	return w.String()
-}
-
-func (rt *Router) handleMetricsProm(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", promtext.ContentType)
-	_, _ = w.Write([]byte(renderProm(rt.m.snapshot(rt.reg))))
-}
+	promtext.Gauge("mergerouter_backend_state", "backends[url].state", "Backend routing tier, one-hot: 1 on the series matching the current state.").By("backend").Hot("state", tierNames[:]...),
+	promtext.Gauge("mergerouter_backend_backlog_elements", "backends[url].backlog_elements", "Backend's last-reported element backlog.").By("backend"),
+	promtext.Gauge("mergerouter_backend_queue_depth", "backends[url].queue_depth", "Backend's last-reported admission-queue depth.").By("backend"),
+	promtext.Gauge("mergerouter_backend_drain_elements_per_second", "backends[url].drain_elems_per_sec", "Backend's last-reported EWMA element throughput.").By("backend"),
+	promtext.Counter("mergerouter_backend_requests_total", "backends[url].requests", "Whole- and sub-requests this router sent the backend.").By("backend"),
+	promtext.Counter("mergerouter_backend_errors_total", "backends[url].errors", "Transport failures and retryable-status responses from the backend.").By("backend"),
+	promtext.Gauge("mergerouter_backend_breakers_open", "backends[url].breakers_open", "Backend circuit breakers currently open or half-open.").By("backend"),
+}, server.RequestMetricDescs("mergerouter", "Router lifecycle stage timings (all wall time).")...)

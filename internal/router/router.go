@@ -36,6 +36,7 @@ import (
 	"strings"
 	"time"
 
+	"mergepath/internal/promtext"
 	"mergepath/internal/resilience"
 	"mergepath/internal/server"
 	"mergepath/internal/wire"
@@ -173,7 +174,7 @@ func New(cfg Config) (*Router, error) {
 	rt.mux.HandleFunc("POST /v1/select", rt.route("select", rt.forwardHandler("/v1/select")))
 	rt.mux.HandleFunc("GET /healthz", rt.handleHealthz)
 	rt.mux.HandleFunc("GET /metrics", rt.handleMetrics)
-	rt.mux.HandleFunc("GET /metrics/prom", rt.handleMetricsProm)
+	rt.mux.HandleFunc("GET /metrics/prom", promtext.Handler(PromMetrics, func() any { return rt.Snapshot() }))
 	rt.reg.start()
 	return rt, nil
 }
@@ -245,8 +246,8 @@ func (rt *Router) route(endpoint string, h func(*http.Request, *server.Trace) *r
 		}
 		tr.Span(StageWrite, wstart)
 		total := time.Since(start)
-		rt.m.observe(endpoint, rep.status, total)
-		rt.m.observeSpans(tr.Spans())
+		rt.m.req.Observe(endpoint, rep.status, total)
+		rt.m.req.ObserveSpans(tr.Spans())
 		if rt.cfg.AccessLog {
 			log.Print("router: ", tr.LogLine(endpoint, rep.status, total))
 		}

@@ -8,11 +8,13 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"mergepath/internal/promtext"
 	"mergepath/internal/resilience"
 	"mergepath/internal/server"
 	"mergepath/internal/verify"
@@ -395,8 +397,13 @@ func TestRouterObservabilitySurfaces(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer mresp.Body.Close()
+	mbody, _ := io.ReadAll(mresp.Body)
 	var snap MetricsSnapshot
-	if err := json.NewDecoder(mresp.Body).Decode(&snap); err != nil {
+	var doc map[string]any
+	if err := json.Unmarshal(mbody, &snap); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(mbody, &doc); err != nil {
 		t.Fatal(err)
 	}
 	if len(snap.Backends) != 2 {
@@ -411,7 +418,10 @@ func TestRouterObservabilitySurfaces(t *testing.T) {
 		}
 	}
 
-	// /metrics/prom: exposition content type and the router families.
+	// /metrics/prom: exposition content type, each family one group, and
+	// every descriptor's series equal to its JSON path in /metrics. The
+	// uptime and the backends' polled load signals run on their own
+	// clocks, so only they may move between the two scrapes.
 	presp, err := http.Get(c.ts.URL + "/metrics/prom")
 	if err != nil {
 		t.Fatal(err)
@@ -421,15 +431,69 @@ func TestRouterObservabilitySurfaces(t *testing.T) {
 		t.Fatalf("prom content type %q", ct)
 	}
 	pbody, _ := io.ReadAll(presp.Body)
-	for _, want := range []string{
-		"mergerouter_scattered_total", "mergerouter_backend_state",
-		"mergerouter_scatter_fanout_total", "mergerouter_stage_latency_seconds",
-		"mergerouter_requests_total",
-	} {
-		if !strings.Contains(string(pbody), want) {
-			t.Fatalf("prom exposition missing %q", want)
+	samples := promSamples(t, string(pbody))
+	volatile := map[string]bool{"uptime_seconds": true, "backends[url].backlog_elements": true,
+		"backends[url].queue_depth": true, "backends[url].drain_elems_per_sec": true}
+	for _, d := range PromMetrics {
+		text, err := promtext.Render([]promtext.Desc{d}, doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := promSamples(t, string(text))
+		if len(want) == 0 {
+			t.Errorf("%s: no series from JSON path %s", d.Name, d.Path)
+		}
+		for key, v := range want {
+			if got, ok := samples[key]; !ok {
+				t.Errorf("%s missing from /metrics/prom", key)
+			} else if got != v && !volatile[d.Path] {
+				t.Errorf("%s = %v, prom/JSON disagree (JSON %s gives %v)", key, got, d.Path, v)
+			}
 		}
 	}
+	for _, key := range []string{
+		`mergerouter_backend_state{backend="` + snap.Backends[1].URL + `",state="healthy"}`,
+		`mergerouter_requests_total{endpoint="merge"}`,
+	} {
+		if samples[key] != 1 {
+			t.Errorf("%s = %v, want 1", key, samples[key])
+		}
+	}
+}
+
+// promSamples returns an exposition's samples keyed by "name{labels}",
+// failing the test when a family's lines do not form one group.
+func promSamples(t *testing.T, text string) map[string]float64 {
+	t.Helper()
+	samples := make(map[string]float64)
+	summaries := make(map[string]bool)
+	ended := make(map[string]bool)
+	family := ""
+	for _, line := range strings.Split(strings.TrimSuffix(text, "\n"), "\n") {
+		var name string
+		if f := strings.Fields(line); strings.HasPrefix(line, "#") {
+			name = f[2]
+			summaries[name] = summaries[name] || f[1] == "TYPE" && f[3] == "summary"
+		} else {
+			key, val, _ := strings.Cut(line, " ")
+			v, err := strconv.ParseFloat(val, 64)
+			if err != nil {
+				t.Fatalf("bad sample %q", line)
+			}
+			samples[key] = v
+			name, _, _ = strings.Cut(key, "{")
+			if base := strings.TrimSuffix(strings.TrimSuffix(name, "_sum"), "_count"); summaries[base] {
+				name = base
+			}
+		}
+		if name != family {
+			if ended[name] {
+				t.Errorf("family %s split into more than one group", name)
+			}
+			ended[family], family = true, name
+		}
+	}
+	return samples
 }
 
 // TestRouterGatherStrategy pins the gather: each co-ranked window's

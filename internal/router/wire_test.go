@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"mergepath/internal/promtext"
 	"mergepath/internal/server"
 	"mergepath/internal/verify"
 	"mergepath/internal/wire"
@@ -80,7 +81,11 @@ func TestRouterBinaryScatterByteIdentical(t *testing.T) {
 	if snap.Routing.BinaryHops == 0 {
 		t.Fatal("no binary hops recorded on an all-wire fleet")
 	}
-	if !strings.Contains(renderProm(snap), "mergerouter_binary_hops_total") {
+	prom, err := promtext.Render(PromMetrics, snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(prom), "mergerouter_binary_hops_total") {
 		t.Fatal("binary hop counter missing from the prom exposition")
 	}
 }

@@ -62,7 +62,7 @@ func (s *Server) rawRoute(endpoint string, h func(http.ResponseWriter, *http.Req
 		w.Header().Set("X-Request-Id", id)
 		status := h(w, r)
 		total := time.Since(start)
-		s.m.observe(endpoint, status, total)
+		s.m.req.Observe(endpoint, status, total)
 		if s.cfg.AccessLog {
 			log.Print("server: id=", id, " endpoint=", endpoint,
 				" status=", status, " total_ms=", total.Milliseconds())

@@ -9,6 +9,7 @@ import (
 	"mergepath/internal/jobs"
 	"mergepath/internal/kway"
 	"mergepath/internal/overload"
+	"mergepath/internal/promtext"
 	"mergepath/internal/stats"
 )
 
@@ -16,9 +17,8 @@ import (
 // /metrics. All updates are atomic or mutex-scoped to the last-round
 // record; handlers and the dispatcher write concurrently.
 type Metrics struct {
-	start     time.Time
-	endpoints map[string]*endpointMetrics // fixed key set, created up front
-	stages    map[string]*stats.Histogram // fixed key set: per-stage span latency
+	start time.Time
+	req   *RequestMetrics // per-endpoint outcomes, per-stage span latency
 
 	shed      atomic.Uint64 // 503s from the full admission queue
 	throttled atomic.Uint64 // 429s from the adaptive overload controller
@@ -44,15 +44,48 @@ type Metrics struct {
 	mu            sync.Mutex
 	lastRoundLoad []core.WorkerStat // per-worker loads of the latest coalesced round
 	lastRound     stats.LoadSummary // summary of the latest balanced round
-	imbMax        float64           // worst per-round imbalance ratio seen
-	imbSum        float64           // running sum of per-round imbalance ratios
-	imbCount      uint64            // rounds contributing to imbSum
+	imb           ratios            // per-round imbalance ratios
 
-	kwayLastK       int     // run count of the latest k-way round
-	kwayLastWorkers int     // windows of the latest k-way co-rank round
-	kwayImbMax      float64 // worst k-way per-worker imbalance seen
-	kwayImbSum      float64 // running sum of k-way imbalance ratios
-	kwayImbCount    uint64  // co-rank rounds contributing to kwayImbSum
+	kwayLastK       int    // run count of the latest k-way round
+	kwayLastWorkers int    // windows of the latest k-way co-rank round
+	kwayImb         ratios // co-rank rounds' per-worker imbalance ratios
+}
+
+// ratios keeps the worst and the mean of a series of imbalance ratios.
+type ratios struct {
+	max, sum float64
+	n        uint64
+}
+
+func (r *ratios) add(x float64) {
+	r.max = max(r.max, x)
+	r.sum += x
+	r.n++
+}
+
+func (r *ratios) mean() float64 {
+	if r.n == 0 {
+		return 0
+	}
+	return r.sum / float64(r.n)
+}
+
+// endpointNames is the fixed metric key set; one entry per /v1 route
+// family ("datasets" and "jobs" each cover their whole CRUD surface).
+var endpointNames = []string{"merge", "sort", "mergek", "setops", "select", "datasets", "jobs"}
+
+// NewMetrics returns a zeroed metrics registry.
+func NewMetrics() *Metrics {
+	return &Metrics{start: time.Now(), req: NewRequestMetrics(endpointNames, stageNames)}
+}
+
+// RequestMetrics counts finished requests per endpoint and times their
+// spans per stage, over fixed key sets created up front; names outside
+// them are dropped. Both daemons record through it, each with its own
+// endpoint and stage names, and export it with RequestMetricDescs.
+type RequestMetrics struct {
+	endpoints map[string]*endpointMetrics
+	stages    map[string]*stats.Histogram
 }
 
 type endpointMetrics struct {
@@ -62,34 +95,80 @@ type endpointMetrics struct {
 	latency stats.Histogram // successful requests only
 }
 
-// endpointNames is the fixed metric key set; one entry per /v1 route
-// family ("datasets" and "jobs" each cover their whole CRUD surface).
-var endpointNames = []string{"merge", "sort", "mergek", "setops", "select", "datasets", "jobs"}
-
-// NewMetrics returns a zeroed metrics registry.
-func NewMetrics() *Metrics {
-	m := &Metrics{
-		start:     time.Now(),
-		endpoints: make(map[string]*endpointMetrics, len(endpointNames)),
-		stages:    make(map[string]*stats.Histogram, len(stageNames)),
+// NewRequestMetrics returns zeroed counters for the given endpoint and
+// stage names.
+func NewRequestMetrics(endpoints, stages []string) *RequestMetrics {
+	r := &RequestMetrics{
+		endpoints: make(map[string]*endpointMetrics, len(endpoints)),
+		stages:    make(map[string]*stats.Histogram, len(stages)),
 	}
-	for _, name := range endpointNames {
-		m.endpoints[name] = &endpointMetrics{}
+	for _, name := range endpoints {
+		r.endpoints[name] = &endpointMetrics{}
 	}
-	for _, name := range stageNames {
-		m.stages[name] = &stats.Histogram{}
+	for _, name := range stages {
+		r.stages[name] = &stats.Histogram{}
 	}
-	return m
+	return r
 }
 
-// observeSpans folds one request's spans into the per-stage latency
-// histograms. Unknown stage names are dropped (fixed key set, like
-// endpoints).
-func (m *Metrics) observeSpans(spans []Span) {
+// Observe records one finished request against an endpoint. Only 2xx
+// requests contribute to the latency histogram so shed traffic cannot
+// flatter the percentiles.
+func (r *RequestMetrics) Observe(endpoint string, status int, d time.Duration) {
+	e, ok := r.endpoints[endpoint]
+	if !ok {
+		return
+	}
+	e.count.Add(1)
+	switch {
+	case status >= 500:
+		e.err5xx.Add(1)
+	case status >= 400:
+		e.err4xx.Add(1)
+	default:
+		e.latency.Observe(d)
+	}
+}
+
+// ObserveSpans folds one request's spans into the per-stage latency
+// histograms.
+func (r *RequestMetrics) ObserveSpans(spans []Span) {
 	for _, sp := range spans {
-		if h, ok := m.stages[sp.Stage]; ok {
+		if h, ok := r.stages[sp.Stage]; ok {
 			h.Observe(sp.Dur)
 		}
+	}
+}
+
+// Snapshot returns the endpoints and stages maps of a /metrics
+// document.
+func (r *RequestMetrics) Snapshot() (map[string]EndpointSnapshot, map[string]stats.HistogramSnapshot) {
+	eps := make(map[string]EndpointSnapshot, len(r.endpoints))
+	for name, e := range r.endpoints {
+		eps[name] = EndpointSnapshot{
+			Count:   e.count.Load(),
+			Err4xx:  e.err4xx.Load(),
+			Err5xx:  e.err5xx.Load(),
+			Latency: e.latency.Snapshot(),
+		}
+	}
+	stages := make(map[string]stats.HistogramSnapshot, len(r.stages))
+	for name, h := range r.stages {
+		stages[name] = h.Snapshot()
+	}
+	return eps, stages
+}
+
+// RequestMetricDescs declares the per-endpoint and per-stage families
+// of RequestMetrics under a daemon's name prefix; stageHelp describes
+// that daemon's stages.
+func RequestMetricDescs(prefix, stageHelp string) []promtext.Desc {
+	return []promtext.Desc{
+		promtext.Counter(prefix+"_requests_total", "endpoints.*.count", "Requests finished, by endpoint (all statuses).").By("endpoint"),
+		promtext.Counter(prefix+"_request_errors_total", "endpoints.*.errors_4xx", "Error responses, by endpoint and status class.").By("endpoint", `class="4xx"`),
+		promtext.Counter(prefix+"_request_errors_total", "endpoints.*.errors_5xx", "Error responses, by endpoint and status class.").By("endpoint", `class="5xx"`),
+		promtext.Summary(prefix+"_request_latency_seconds", "endpoints.*.latency", "Latency of successful requests, by endpoint.").By("endpoint"),
+		promtext.Summary(prefix+"_stage_latency_seconds", "stages.*", stageHelp).By("stage"),
 	}
 }
 
@@ -102,11 +181,7 @@ func (m *Metrics) noteRound(s stats.LoadSummary) {
 	}
 	m.mu.Lock()
 	m.lastRound = s
-	if s.Imbalance > m.imbMax {
-		m.imbMax = s.Imbalance
-	}
-	m.imbSum += s.Imbalance
-	m.imbCount++
+	m.imb.add(s.Imbalance)
 	m.mu.Unlock()
 }
 
@@ -118,11 +193,7 @@ func (m *Metrics) noteImbalance(imb float64) {
 		return
 	}
 	m.mu.Lock()
-	if imb > m.imbMax {
-		m.imbMax = imb
-	}
-	m.imbSum += imb
-	m.imbCount++
+	m.imb.add(imb)
 	m.mu.Unlock()
 }
 
@@ -147,31 +218,8 @@ func (m *Metrics) noteKWay(st kway.Stats) {
 	}
 	m.noteRound(stats.SummarizeLoads(st.PerWorker))
 	m.mu.Lock()
-	if st.Imbalance > m.kwayImbMax {
-		m.kwayImbMax = st.Imbalance
-	}
-	m.kwayImbSum += st.Imbalance
-	m.kwayImbCount++
+	m.kwayImb.add(st.Imbalance)
 	m.mu.Unlock()
-}
-
-// observe records one finished request against an endpoint. Only 2xx
-// requests contribute to the latency histogram so shed traffic cannot
-// flatter the percentiles.
-func (m *Metrics) observe(endpoint string, status int, d time.Duration) {
-	e, ok := m.endpoints[endpoint]
-	if !ok {
-		return
-	}
-	e.count.Add(1)
-	switch {
-	case status >= 500:
-		e.err5xx.Add(1)
-	case status >= 400:
-		e.err4xx.Add(1)
-	default:
-		e.latency.Observe(d)
-	}
 }
 
 // recordRound accounts one balanced merge round (core.MergeRound).
@@ -350,10 +398,7 @@ func (m *Metrics) kwaySnapshot() KWaySnapshot {
 	m.mu.Lock()
 	s.LastK = m.kwayLastK
 	s.LastWorkers = m.kwayLastWorkers
-	s.ImbalanceMax = m.kwayImbMax
-	if m.kwayImbCount > 0 {
-		s.ImbalanceMean = m.kwayImbSum / float64(m.kwayImbCount)
-	}
+	s.ImbalanceMax, s.ImbalanceMean = m.kwayImb.max, m.kwayImb.mean()
 	m.mu.Unlock()
 	return s
 }
@@ -384,9 +429,8 @@ func (m *Metrics) snapshot(p *pool) MetricsSnapshot {
 			ResponsesBinary:      m.respBinary.Load(),
 			UnsupportedMediaType: m.badMedia.Load(),
 		},
-		Endpoints: make(map[string]EndpointSnapshot, len(m.endpoints)),
-		Stages:    make(map[string]stats.HistogramSnapshot, len(m.stages)),
 	}
+	s.Endpoints, s.Stages = m.req.Snapshot()
 	if rounds := s.Pool.BatchRounds; rounds > 0 {
 		s.Pool.PairsPerRound = float64(s.Pool.BatchPairs) / float64(rounds)
 	}
@@ -406,21 +450,7 @@ func (m *Metrics) snapshot(p *pool) MetricsSnapshot {
 		s.Pool.LastRoundLoad = stats.WorkerLoads(m.lastRoundLoad)
 	}
 	s.Pool.LastRound = m.lastRound
-	s.Pool.ImbalanceMax = m.imbMax
-	if m.imbCount > 0 {
-		s.Pool.ImbalanceMean = m.imbSum / float64(m.imbCount)
-	}
+	s.Pool.ImbalanceMax, s.Pool.ImbalanceMean = m.imb.max, m.imb.mean()
 	m.mu.Unlock()
-	for name, e := range m.endpoints {
-		s.Endpoints[name] = EndpointSnapshot{
-			Count:   e.count.Load(),
-			Err4xx:  e.err4xx.Load(),
-			Err5xx:  e.err5xx.Load(),
-			Latency: e.latency.Snapshot(),
-		}
-	}
-	for name, h := range m.stages {
-		s.Stages[name] = h.Snapshot()
-	}
 	return s
 }

@@ -3,7 +3,6 @@ package server
 import (
 	"encoding/json"
 	"io"
-	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -26,9 +25,7 @@ var (
 	promTypeRe = regexp.MustCompile(`^# TYPE ([a-zA-Z_:][a-zA-Z0-9_:]*) (counter|gauge|summary|histogram|untyped)$`)
 )
 
-// scrapeProm fetches /metrics/prom, validates every line against the
-// exposition grammar (including HELP/TYPE-before-first-sample ordering),
-// and returns the samples keyed by "name{labels}".
+// scrapeProm fetches /metrics/prom and parses it with parseProm.
 func scrapeProm(t *testing.T, ts *httptest.Server) map[string]float64 {
 	t.Helper()
 	resp, err := ts.Client().Get(ts.URL + "/metrics/prom")
@@ -46,7 +43,15 @@ func scrapeProm(t *testing.T, ts *httptest.Server) map[string]float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	text := string(raw)
+	return parseProm(t, string(raw))
+}
+
+// parseProm validates every line of an exposition document against the
+// grammar (including HELP/TYPE-before-first-sample ordering, and each
+// family's lines forming one group), and returns the samples keyed by
+// "name{labels}".
+func parseProm(t *testing.T, text string) map[string]float64 {
+	t.Helper()
 	if !strings.HasSuffix(text, "\n") {
 		t.Error("exposition must end with a newline")
 	}
@@ -54,12 +59,25 @@ func scrapeProm(t *testing.T, ts *httptest.Server) map[string]float64 {
 	samples := make(map[string]float64)
 	typed := make(map[string]string) // metric name -> declared type
 	helped := make(map[string]bool)
+	ended := make(map[string]bool) // families whose group is over
+	family := ""
+	group := func(i int, name string) {
+		if name == family {
+			return
+		}
+		if ended[name] {
+			t.Errorf("line %d: family %s split into more than one group", i+1, name)
+		}
+		ended[family] = true
+		family = name
+	}
 	for i, line := range strings.Split(strings.TrimRight(text, "\n"), "\n") {
 		if line == "" {
 			continue
 		}
 		if strings.HasPrefix(line, "#") {
 			if m := promHelpRe.FindStringSubmatch(line); m != nil {
+				group(i, m[1])
 				if helped[m[1]] {
 					t.Errorf("line %d: duplicate HELP for %s", i+1, m[1])
 				}
@@ -67,6 +85,7 @@ func scrapeProm(t *testing.T, ts *httptest.Server) map[string]float64 {
 				continue
 			}
 			if m := promTypeRe.FindStringSubmatch(line); m != nil {
+				group(i, m[1])
 				if _, dup := typed[m[1]]; dup {
 					t.Errorf("line %d: duplicate TYPE for %s", i+1, m[1])
 				}
@@ -87,6 +106,7 @@ func scrapeProm(t *testing.T, ts *httptest.Server) map[string]float64 {
 		if _, ok := typed[base]; !ok {
 			base = name
 		}
+		group(i, base)
 		if !helped[base] || typed[base] == "" {
 			t.Errorf("line %d: sample %s before its HELP/TYPE header", i+1, name)
 		}
@@ -105,6 +125,16 @@ func scrapeProm(t *testing.T, ts *httptest.Server) map[string]float64 {
 		samples[key] = v
 	}
 	return samples
+}
+
+// promText renders the node's exposition of snap.
+func promText(t *testing.T, snap MetricsSnapshot) string {
+	t.Helper()
+	text, err := promtext.Render(PromMetrics, snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(text)
 }
 
 // sample fetches one series or fails the test.
@@ -151,66 +181,44 @@ func TestMetricsPromFormatAndAgreement(t *testing.T) {
 	samples := scrapeProm(t, ts)
 	snap := s.Snapshot()
 
-	agree := func(key string, want float64) {
-		t.Helper()
-		if got := sample(t, samples, key); got != want {
-			t.Errorf("%s = %v, prom/JSON disagree (JSON says %v)", key, got, want)
-		}
+	// Every descriptor's series must read the same on /metrics/prom as
+	// its JSON path does in /metrics, rendered through the same table.
+	// Only the uptime and the interval-scoped sojourn can move between
+	// the two scrapes (utilization divides by uptime).
+	var doc map[string]any
+	mres, err := ts.Client().Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
 	}
-	for name, e := range snap.Endpoints {
-		lbl := `{endpoint="` + name + `"}`
-		agree("mergepathd_requests_total"+lbl, float64(e.Count))
-		agree(`mergepathd_request_errors_total{endpoint="`+name+`",class="4xx"}`, float64(e.Err4xx))
-		agree(`mergepathd_request_errors_total{endpoint="`+name+`",class="5xx"}`, float64(e.Err5xx))
-		agree("mergepathd_request_latency_seconds_count"+lbl, float64(e.Latency.Count))
-		sum := sample(t, samples, "mergepathd_request_latency_seconds_sum"+lbl)
-		if want := e.Latency.SumMS / 1e3; math.Abs(sum-want) > 1e-9 {
-			t.Errorf("latency sum %s: prom %v s vs JSON %v ms", name, sum, e.Latency.SumMS)
-		}
+	defer mres.Body.Close()
+	if err := json.NewDecoder(mres.Body).Decode(&doc); err != nil {
+		t.Fatal(err)
 	}
-	agree("mergepathd_queue_shed_total", float64(snap.Queue.Shed))
-	agree("mergepathd_throttled_total", float64(snap.Queue.Throttled))
-	agree("mergepathd_queue_capacity", float64(snap.Queue.Capacity))
-	agree("mergepathd_batch_rounds_total", float64(snap.Pool.BatchRounds))
-	agree("mergepathd_batch_pairs_total", float64(snap.Pool.BatchPairs))
-	agree("mergepathd_run_rounds_total", float64(snap.Pool.RunRounds))
-	agree("mergepathd_pool_workers", float64(snap.Pool.Workers))
-	agree("mergepathd_round_imbalance", snap.Pool.LastRound.Imbalance)
-	agree("mergepathd_round_imbalance_max", snap.Pool.ImbalanceMax)
-	agree("mergepathd_round_workers", float64(snap.Pool.LastRound.Workers))
-	for _, stage := range StageNames() {
-		h, ok := snap.Stages[stage]
-		if !ok {
-			t.Errorf("JSON snapshot missing stage %q", stage)
-			continue
+	volatile := map[string]bool{"uptime_seconds": true, "pool.utilization": true, "overload.sojourn_min_ms": true}
+	for _, d := range PromMetrics {
+		text, err := promtext.Render([]promtext.Desc{d}, doc)
+		if err != nil {
+			t.Fatal(err)
 		}
-		agree(`mergepathd_stage_latency_seconds_count{stage="`+stage+`"}`, float64(h.Count))
+		want := parseProm(t, string(text))
+		if len(want) == 0 {
+			t.Errorf("%s: no series from JSON path %s", d.Name, d.Path)
+		}
+		for key, v := range want {
+			if got, ok := samples[key]; !ok {
+				t.Errorf("%s missing from /metrics/prom", key)
+			} else if got != v && !volatile[d.Path] {
+				t.Errorf("%s = %v, prom/JSON disagree (JSON %s gives %v)", key, got, d.Path, v)
+			}
+		}
 	}
 
 	// Overload controller: the state machine must read identically on all
-	// three surfaces (prom here, the JSON snapshot, and /healthz below).
-	// Interval-scoped signals (sojourn min) can roll over between scrapes,
-	// so the agreement set is the stable-by-construction fields.
+	// three surfaces (prom and JSON above, /healthz below).
 	ov := snap.Overload
 	if ov.State != "healthy" {
 		t.Errorf("overload state %q after light traffic, want healthy", ov.State)
 	}
-	for _, st := range []string{"healthy", "degraded", "shedding"} {
-		want := 0.0
-		if st == ov.State {
-			want = 1
-		}
-		agree(`mergepathd_overload_state{state="`+st+`"}`, want)
-	}
-	agree("mergepathd_overload_state_code", float64(ov.StateCode))
-	agree("mergepathd_overload_target_seconds", ov.TargetMS/1e3)
-	agree("mergepathd_overload_backlog_elements", float64(ov.BacklogElements))
-	agree("mergepathd_overload_drain_elements_per_second", ov.DrainElemsPerSec)
-	agree("mergepathd_overload_retry_after_seconds", float64(ov.RetryAfterSeconds))
-	agree("mergepathd_overload_shed_total", float64(ov.ShedTotal))
-	agree(`mergepathd_overload_transitions_total{to="degraded"}`, float64(ov.TransitionsDegraded))
-	agree(`mergepathd_overload_transitions_total{to="shedding"}`, float64(ov.TransitionsShedding))
-	agree(`mergepathd_overload_transitions_total{to="healthy"}`, float64(ov.TransitionsHealthy))
 	if sample(t, samples, "mergepathd_overload_drain_elements_per_second") <= 0 {
 		t.Error("drain rate still zero after completed rounds")
 	}

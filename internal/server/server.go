@@ -34,6 +34,7 @@ import (
 	"mergepath/internal/jobs"
 	"mergepath/internal/kway"
 	"mergepath/internal/overload"
+	"mergepath/internal/promtext"
 	"mergepath/internal/psort"
 	"mergepath/internal/setops"
 	"mergepath/internal/wire"
@@ -161,7 +162,7 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("POST /v1/select", s.route("select", s.handleSelect))
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
-	s.mux.HandleFunc("GET /metrics/prom", s.handleMetricsProm)
+	s.mux.HandleFunc("GET /metrics/prom", promtext.Handler(PromMetrics, func() any { return s.Snapshot() }))
 	return s
 }
 
@@ -240,8 +241,8 @@ func (s *Server) route(endpoint string, h func(*http.Request) (int, any)) http.H
 		s.writeBody(w, status, body)
 		tr.span(StageWrite, wstart)
 		total := time.Since(start)
-		s.m.observe(endpoint, status, total)
-		s.m.observeSpans(tr.Spans())
+		s.m.req.Observe(endpoint, status, total)
+		s.m.req.ObserveSpans(tr.Spans())
 		if s.cfg.AccessLog {
 			log.Print("server: ", tr.logLine(endpoint, status, total))
 		}

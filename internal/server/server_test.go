@@ -386,11 +386,11 @@ func TestEndpointLabels(t *testing.T) {
 	// one silently drops its observations.
 	m := NewMetrics()
 	for _, name := range endpointNames {
-		if _, ok := m.endpoints[name]; !ok {
+		if _, ok := m.req.endpoints[name]; !ok {
 			t.Errorf("endpoint %q missing from metrics registry", name)
 		}
 	}
-	m.observe("nonexistent", 200, time.Millisecond) // must not panic
+	m.req.Observe("nonexistent", 200, time.Millisecond) // must not panic
 }
 
 func BenchmarkServeMergeSmall(b *testing.B) {

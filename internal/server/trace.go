@@ -14,7 +14,6 @@ import (
 	crand "crypto/rand"
 	"encoding/hex"
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -221,19 +220,4 @@ func withTrace(ctx context.Context, t *Trace) context.Context {
 func traceFrom(ctx context.Context) *Trace {
 	t, _ := ctx.Value(traceKey{}).(*Trace)
 	return t
-}
-
-// sortedStageNames returns the stage keys in lifecycle order for stable
-// exposition output.
-func sortedStageNames() []string { return stageNames }
-
-// sortedKeys returns map keys in lexical order (stable Prometheus and
-// test output).
-func sortedKeys[V any](m map[string]V) []string {
-	ks := make([]string, 0, len(m))
-	for k := range m {
-		ks = append(ks, k)
-	}
-	sort.Strings(ks)
-	return ks
 }

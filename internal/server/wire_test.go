@@ -250,7 +250,7 @@ func TestUnsupportedMediaType(t *testing.T) {
 		t.Errorf("unsupported_media_type_total = %d, want %d", got, len(cases))
 	}
 	// The counters reach the Prometheus surface too.
-	prom := renderProm(snap)
+	prom := promText(t, snap)
 	if !strings.Contains(prom, "mergepathd_unsupported_media_type_total 4") {
 		t.Error("415 counter missing from the prom exposition")
 	}
@@ -395,7 +395,7 @@ func TestJobResultAbortCounted(t *testing.T) {
 	if aborts != 1 {
 		t.Fatalf("result_aborts_total = %d, want 1", aborts)
 	}
-	if !strings.Contains(renderProm(s.Snapshot()), "mergepathd_jobs_result_aborts_total 1") {
+	if !strings.Contains(promText(t, s.Snapshot()), "mergepathd_jobs_result_aborts_total 1") {
 		t.Error("abort counter missing from the prom exposition")
 	}
 

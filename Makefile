@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt-check test race verify cover bench bench-kway experiments fmt serve loadtest chaos soak lint-docs fuzz-wire fuzz-sort fuzz-kway kway-diff spawn-check cluster cluster-quick jobs-soak jobs-soak-quick restart-quick restart-soak corrupt-check be-check
+.PHONY: all build vet fmt-check test race verify cover bench bench-kway experiments fmt serve loadtest chaos soak lint-docs fuzz-wire fuzz-sort fuzz-kway fuzz-merge kway-diff spawn-check cluster cluster-quick jobs-soak jobs-soak-quick restart-quick restart-soak corrupt-check be-check
 
 all: build vet test
 
@@ -67,7 +67,8 @@ fuzz-wire:
 # radix cutoff, and the sort must equal slices.Sort for any key bits and
 # worker count. -fuzzminimizetime 0 (here and in fuzz-kway) spends the
 # 10 s fuzzing: by default every new corpus entry is minimized for up to
-# 60 s, which stalled these targets after about 3 s. A crasher is still
+# 60 s, which stalled these targets after about 3 s (fuzz-merge takes
+# the flag for the same reason). A crasher is still
 # written to testdata/fuzz, unminimized.
 fuzz-sort:
 	$(GO) test -run FuzzSortInt64 -fuzz FuzzSortInt64 -fuzztime 10s -fuzzminimizetime 0 ./internal/psort
@@ -80,6 +81,15 @@ fuzz-sort:
 fuzz-kway:
 	$(GO) test -run FuzzMergeInto -fuzz FuzzMergeInto -fuzztime 10s -fuzzminimizetime 0 ./internal/kway
 
+# Short coverage-guided fuzz of the ordered 2-way kernel: fuzz bytes
+# become runs of runProbe-1, runProbe, runProbe+1 and longer dealt to
+# two lists with ties across run edges, and core.MergeSteps from a
+# seeded co-rank start for a seeded step count must equal the reference
+# merge (bit for bit on float64 keys over ±0, ±Inf and subnormals) and
+# reach SearchDiagonal's point.
+fuzz-merge:
+	$(GO) test -run FuzzMergeSteps -fuzz FuzzMergeSteps -fuzztime 10s -fuzzminimizetime 0 ./internal/core
+
 # Big-endian build gate: type-check and vet the whole module for s390x,
 # so the portable per-element codec path (internal/lebytes callers in
 # wire and extsort) keeps compiling and vetting on a host that is
@@ -91,8 +101,8 @@ be-check:
 # Full pre-merge gate: build, vet, the gofmt check (fmt-check), unit
 # tests, godoc audit, the fan-out gate (spawn-check), race suite (which includes the fault-injection
 # lifecycle tests in internal/server and internal/fault), short fuzz
-# passes over the wire decoder, the psort radix leaf and the k-way
-# merged output, a chaos pass against a live in-process daemon, the
+# passes over the wire decoder, the psort radix leaf, the k-way
+# merged output and the 2-way merge kernel, a chaos pass against a live in-process daemon, the
 # in-process cluster soak (3 backends + router, one backend
 # faulted, under -race), the quick jobs soak (concurrent submits +
 # cancels + GC under fault injection, -race), the quick in-process
@@ -101,7 +111,7 @@ be-check:
 # overload/breaker soak is its own target (`make soak`); the
 # multi-process cluster is `make cluster`; the extended jobs soak is
 # `make jobs-soak`; the real SIGKILL restart soak is `make restart-soak`.
-verify: build vet fmt-check test lint-docs kway-diff spawn-check race fuzz-wire fuzz-sort fuzz-kway chaos cluster-quick jobs-soak-quick restart-quick be-check
+verify: build vet fmt-check test lint-docs kway-diff spawn-check race fuzz-wire fuzz-sort fuzz-kway fuzz-merge chaos cluster-quick jobs-soak-quick restart-quick be-check
 
 cover:
 	$(GO) test -cover ./...

@@ -17,12 +17,21 @@
 //
 // This package provides the diagonal search (SearchDiagonal), balanced
 // partitioning of a merge into any number of independent jobs (Partition),
-// sequential merge kernels, and the paper's Algorithm 1 (Parallel Merge),
+// the sequential merge kernels, and the paper's Algorithm 1 (Parallel Merge),
 // which merges with p workers, no locks, and no inter-worker
 // communication. MergeRound applies Algorithm 1 to a whole list of pairs
 // at once, cutting their combined output at equal ranks; ParallelMerge
 // is its one-pair case, and every parallel merge round in the
 // repository's batch, sort, k-way and service layers is one MergeRound.
+//
+// There is one ordered sequential kernel, MergeSteps: a branch-free
+// per-element loop that probes for runs and gallops over them, so
+// interleaved and runny inputs are both fast. Merge is MergeSteps over
+// the whole path; MergeRound workers, the hierarchical merge,
+// MergedRange, psort's comparison leaf and the batch, service and
+// public merges all run it. MergeFunc and MergeStepsFunc, the less-func
+// forms, keep one branch per element, since the comparator call costs
+// more than a mispredicted branch.
 //
 // Fork is the one fan-out behind every parallel kernel here and in the
 // kway, psort, setops, spm and batch packages: p workers, worker 0 on

@@ -19,11 +19,12 @@
 //	   +--(RecoverIntervals good)------+  +----(RecoverIntervals good)----+
 //
 // An interval is *bad* when the minimum queue sojourn observed during it
-// exceeds Target (or when nothing dequeued at all while a backlog stood
-// through the whole interval). In degraded the server browns out —
-// smaller coalesce window, capped per-job parallelism — but still serves
-// everything; in shedding it refuses new work with 429 and a computed
-// Retry-After.
+// exceeds Target (or when nothing dequeued at all while admitted
+// requests stood through the whole interval; background work such as
+// out-of-core jobs counts toward Retry-After but never stalls the
+// queue). In degraded the server browns out — smaller coalesce window,
+// capped per-job parallelism — but still serves everything; in shedding
+// it refuses new work with 429 and a computed Retry-After.
 // Stepping down (shedding→degraded→healthy) requires RecoverIntervals
 // consecutive good intervals per step, so recovery is clean rather than
 // oscillating on the first quiet millisecond.
@@ -131,12 +132,13 @@ type Controller struct {
 	cfg   Config
 	clock func() time.Time // time.Now; tests substitute a synthetic clock
 
-	state   atomic.Int32 // State; atomic so brownout checks are lock-free
-	backlog atomic.Int64 // elements admitted but not yet finished
+	state    atomic.Int32 // State; atomic so brownout checks are lock-free
+	backlog  atomic.Int64 // elements admitted but not yet finished, requests and jobs
+	requests atomic.Int64 // the requests' share of backlog, the only work that can stall
 
 	mu            sync.Mutex
 	intervalStart time.Time
-	standingSince time.Time     // when the backlog last rose from zero
+	standingSince time.Time     // when requests last rose from zero
 	minSojourn    time.Duration // min sojourn observed this interval
 	sawSojourn    bool          // any dequeue observed this interval
 	lastMin       time.Duration // min sojourn of the last completed interval
@@ -164,14 +166,18 @@ func (c *Controller) Config() Config { return c.cfg }
 // reads it on every flush decision).
 func (c *Controller) State() State { return State(c.state.Load()) }
 
-// Enqueue records n elements entering the admission backlog.
+// Enqueue records n request elements entering the admission backlog.
 func (c *Controller) Enqueue(n int) { c.enqueue(n, c.clock()) }
 
 func (c *Controller) enqueue(n int, now time.Time) {
-	if n <= 0 || c.backlog.Add(int64(n)) != int64(n) {
+	if n <= 0 {
 		return
 	}
-	// The backlog rose from zero: work stands from now on. Racing rises
+	c.backlog.Add(int64(n))
+	if c.requests.Add(int64(n)) != int64(n) {
+		return
+	}
+	// Requests rose from zero: work stands from now on. Racing rises
 	// keep the latest stamp, which is the one still standing.
 	c.mu.Lock()
 	if now.After(c.standingSince) {
@@ -180,9 +186,22 @@ func (c *Controller) enqueue(n int, now time.Time) {
 	c.mu.Unlock()
 }
 
-// Done records n elements leaving the backlog (finished, shed at flush,
-// or dropped at dequeue).
-func (c *Controller) Done(n int) { c.backlog.Add(int64(-n)) }
+// Done records n request elements leaving the backlog (finished, shed
+// at flush, or dropped at dequeue).
+func (c *Controller) Done(n int) {
+	c.requests.Add(int64(-n))
+	c.backlog.Add(int64(-n))
+}
+
+// EnqueueJob records n elements of background work (an out-of-core
+// job) entering the backlog. They lengthen Retry-After like request
+// elements, but the stall verdict ignores them: a job runs outside the
+// request queue, so it standing with no dequeue says nothing about
+// that queue.
+func (c *Controller) EnqueueJob(n int) { c.backlog.Add(int64(n)) }
+
+// DoneJob records n elements of background work leaving the backlog.
+func (c *Controller) DoneJob(n int) { c.backlog.Add(int64(-n)) }
 
 // Backlog reports elements admitted but not yet finished.
 func (c *Controller) Backlog() int64 { return c.backlog.Load() }
@@ -273,11 +292,11 @@ func (c *Controller) RetryAfterSeconds() int {
 // tickLocked closes out every interval that has fully elapsed since the
 // last evaluation. The controller is driven by traffic (and by metrics
 // scrapes), not by its own timer: after an idle gap, all the elapsed
-// intervals are settled here — empty intervals with no standing backlog
-// count as good, so an idle daemon recovers.
+// intervals are settled here — empty intervals with no standing
+// requests count as good, so an idle daemon recovers.
 func (c *Controller) tickLocked(now time.Time) {
 	// Intervals with no sojourn sample all get the same verdict (decided
-	// by the standing backlog alone), and identical verdicts beyond one
+	// by the standing requests alone), and identical verdicts beyond one
 	// full escalation (1+ShedIntervals bad) or recovery
 	// (2×RecoverIntervals good) streak are idempotent. After a long gap,
 	// fast-forward across the idempotent span instead of settling
@@ -291,11 +310,12 @@ func (c *Controller) tickLocked(now time.Time) {
 		switch {
 		case c.sawSojourn:
 			bad = c.minSojourn > c.cfg.Target
-		case c.backlog.Load() > 0 && !c.standingSince.After(c.intervalStart):
-			// Nothing dequeued all interval while work stood through all
-			// of it: the queue is stalled, which is at least as bad as
-			// slow. Work that arrived mid-interval is judged by its
-			// sojourn when it dequeues, not by the boundary it straddles.
+		case c.requests.Load() > 0 && !c.standingSince.After(c.intervalStart):
+			// Nothing dequeued all interval while requests stood through
+			// all of it: the queue is stalled, which is at least as bad
+			// as slow. Requests that arrived mid-interval are judged by
+			// their sojourn when they dequeue, not by the boundary they
+			// straddle. Jobs are not requests and never stall it.
 			bad = true
 		}
 		c.lastMin, c.lastMinValid = c.minSojourn, c.sawSojourn

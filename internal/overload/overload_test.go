@@ -135,6 +135,33 @@ func TestStalledQueueIsBad(t *testing.T) {
 	}
 }
 
+func TestJobBacklogIsNotStalled(t *testing.T) {
+	// An out-of-core job's elements stand for many intervals with no
+	// request at all: nothing queues, so nothing is stalled, and the
+	// node must stay healthy. The elements still count toward
+	// Retry-After.
+	cl := newClock()
+	ctrl := newTestController(cl, testCfg)
+	ctrl.ObserveDrain(1000, time.Second) // 1000 elements/s
+	ctrl.EnqueueJob(5000)
+	for i := 0; i <= testCfg.ShedIntervals; i++ {
+		cl.advance(testCfg.Interval)
+		if ok, _ := ctrl.admit(cl.now()); !ok {
+			t.Fatalf("interval %d: a request was shed behind a job", i)
+		}
+	}
+	if st := ctrl.State(); st != Healthy {
+		t.Fatalf("after %d intervals with a job running: %v, want healthy", testCfg.ShedIntervals+1, st)
+	}
+	if ra := ctrl.RetryAfter(); ra != 5*time.Second {
+		t.Fatalf("Retry-After = %v, want the job's 5s drain", ra)
+	}
+	ctrl.DoneJob(5000)
+	if n := ctrl.Backlog(); n != 0 {
+		t.Fatalf("backlog after the job = %d, want 0", n)
+	}
+}
+
 func TestStraddlingJobIsNotStalled(t *testing.T) {
 	// A lone job submitted 1ms before an interval boundary and dequeued
 	// 1ms after it waited 2ms against a 1s target. The interval it was

@@ -121,6 +121,26 @@ func TestOverloadShedsWithComputedRetryAfter(t *testing.T) {
 	}
 }
 
+// TestRunningJobDoesNotShed holds a job's elements in the controller
+// through the server's own job hooks for ShedIntervals+1 intervals with
+// no request: the request queue is empty, so the node must stay healthy
+// and admit. The job still lengthens Retry-After through the backlog.
+func TestRunningJobDoesNotShed(t *testing.T) {
+	cfg := overload.Config{Target: time.Millisecond, Interval: 10 * time.Millisecond, ShedIntervals: 3}
+	s := New(Config{Workers: 2, Overload: cfg})
+	t.Cleanup(func() { s.Drain(context.Background()) })
+	hooks := s.jobHooks()
+	hooks.Enqueue(1 << 20)
+	time.Sleep(time.Duration(cfg.ShedIntervals+2) * cfg.Interval)
+	if ok, _ := s.ctrl.Admit(); !ok {
+		t.Fatal("a request was shed while only a job was running")
+	}
+	if st := s.ctrl.SnapshotNow(); st.State != "healthy" || st.BacklogElements != 1<<20 {
+		t.Fatalf("overload state %+v, want healthy with the job's elements as backlog", st)
+	}
+	hooks.Done(1 << 20)
+}
+
 // TestOverloadTripsUnderInjectedLatency exercises the real signal path:
 // fault-injected execution latency makes each sort round hold the
 // dispatcher for 30ms, queued jobs accumulate sojourn far over the

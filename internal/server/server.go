@@ -139,16 +139,9 @@ func New(cfg Config) *Server {
 	s := &Server{cfg: cfg, m: NewMetrics(), mux: http.NewServeMux()}
 	s.ctrl = overload.New(cfg.Overload)
 	s.pool = newPool(cfg.Workers, cfg.QueueDepth, cfg.BatchWindow, cfg.BatchElements, s.m, s.ctrl)
-	// Jobs share the overload controller's element accounting: a queued
-	// or running sort is backlog like any admitted request, and each
-	// completed sort feeds the drain-rate EWMA.
 	jcfg := cfg.Jobs
 	jcfg.Fault = cfg.Fault
-	jcfg.Hooks = jobs.Hooks{
-		Enqueue: func(n int) { s.ctrl.Enqueue(n) },
-		Done:    func(n int) { s.ctrl.Done(n) },
-		Drained: func(n int, took time.Duration) { s.ctrl.ObserveDrain(n, took) },
-	}
+	jcfg.Hooks = s.jobHooks()
 	jm, err := jobs.New(jcfg)
 	if err != nil {
 		panic("server: jobs subsystem: " + err.Error())
@@ -164,6 +157,19 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.mux.HandleFunc("GET /metrics/prom", promtext.Handler(PromMetrics, func() any { return s.Snapshot() }))
 	return s
+}
+
+// jobHooks ties jobs into the overload controller's element
+// accounting: a queued or running sort is backlog, so it lengthens
+// Retry-After, and each completed sort feeds the drain-rate EWMA. It
+// enters as job work, not request work, so a long job with no /v1
+// traffic does not look like a stalled request queue.
+func (s *Server) jobHooks() jobs.Hooks {
+	return jobs.Hooks{
+		Enqueue: s.ctrl.EnqueueJob,
+		Done:    s.ctrl.DoneJob,
+		Drained: s.ctrl.ObserveDrain,
+	}
 }
 
 // ServeHTTP implements http.Handler by dispatching to the service mux.

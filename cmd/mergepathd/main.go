@@ -48,7 +48,6 @@ func main() {
 		addr      = flag.String("addr", ":8080", "listen address")
 		workers   = flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
 		queue     = flag.Int("queue", 256, "admission queue depth (full queue sheds with 503)")
-		window    = flag.Duration("batch-window", 500*time.Microsecond, "coalescing window for small merges")
 		coalesce  = flag.Int("coalesce", 1<<16, "max output elements for the coalescing path")
 		maxBody   = flag.Int64("max-body", 8<<20, "request body limit in bytes (413 beyond)")
 		timeout   = flag.Duration("timeout", 5*time.Second, "default per-request deadline")
@@ -89,7 +88,6 @@ func main() {
 	s := server.New(server.Config{
 		Workers:        *workers,
 		QueueDepth:     *queue,
-		BatchWindow:    *window,
 		CoalesceLimit:  *coalesce,
 		MaxBodyBytes:   *maxBody,
 		RequestTimeout: *timeout,

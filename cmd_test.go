@@ -100,3 +100,67 @@ func TestMergeloadE2E(t *testing.T) {
 		t.Error("BENCH_server.json still carries raw nanosecond fields; wire unit is milliseconds")
 	}
 }
+
+// TestReadmeFlagTables: README's operator-runbook flag tables list
+// exactly the flags each daemon-side binary registers, so a deleted or
+// renamed flag cannot leave a stale row behind (or a new one go
+// undocumented). The registered set comes from the binary's own -h.
+func TestReadmeFlagTables(t *testing.T) {
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tool := range []string{"mergepathd", "mergeload"} {
+		t.Run(tool, func(t *testing.T) {
+			registered := map[string]bool{}
+			for _, line := range strings.Split(runTool(t, "./cmd/"+tool, "-h"), "\n") {
+				if f := strings.Fields(line); strings.HasPrefix(line, "  -") && len(f) > 0 {
+					registered[f[0]] = true
+				}
+			}
+			documented := readmeFlagTable(t, string(readme), "**`"+tool+"` flags**")
+			for f := range registered {
+				if !documented[f] {
+					t.Errorf("%s registers %s, but README's flag table has no row for it", tool, f)
+				}
+			}
+			for f := range documented {
+				if !registered[f] {
+					t.Errorf("README's %s flag table lists %s, which the binary does not register", tool, f)
+				}
+			}
+		})
+	}
+}
+
+// readmeFlagTable returns the flags named in the first column of the
+// Markdown table that follows heading: every backquoted `-flag` in it,
+// since one row may name several related flags.
+func readmeFlagTable(t *testing.T, readme, heading string) map[string]bool {
+	t.Helper()
+	i := strings.Index(readme, heading)
+	if i < 0 {
+		t.Fatalf("README has no %s section", heading)
+	}
+	flags := map[string]bool{}
+	inTable := false
+	for _, line := range strings.Split(readme[i+len(heading):], "\n") {
+		if !strings.HasPrefix(line, "|") {
+			if inTable {
+				break
+			}
+			continue
+		}
+		inTable = true
+		first := strings.Split(line, "|")[1]
+		for _, tok := range strings.Split(first, "`") {
+			if strings.HasPrefix(tok, "-") && !strings.HasPrefix(tok, "--") {
+				flags[tok] = true
+			}
+		}
+	}
+	if len(flags) == 0 {
+		t.Fatalf("README's %s table lists no flags", heading)
+	}
+	return flags
+}

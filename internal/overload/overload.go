@@ -22,8 +22,8 @@
 // exceeds Target (or when nothing dequeued at all while admitted
 // requests stood through the whole interval; background work such as
 // out-of-core jobs counts toward Retry-After but never stalls the
-// queue). In degraded the server browns out — smaller coalesce window,
-// capped per-job parallelism — but still serves everything; in shedding
+// queue). In degraded the server browns out — capped per-round
+// parallelism — but still serves everything; in shedding
 // it refuses new work with 429 and a computed Retry-After.
 // Stepping down (shedding→degraded→healthy) requires RecoverIntervals
 // consecutive good intervals per step, so recovery is clean rather than
@@ -45,12 +45,11 @@ type State int32
 
 // The three overload states, in order of escalation.
 const (
-	// Healthy: sojourn under target; full coalesce window and
-	// parallelism, everything admitted.
+	// Healthy: sojourn under target; full parallelism, everything
+	// admitted.
 	Healthy State = iota
 	// Degraded: sustained sojourn over target; the server browns out
-	// (shorter coalesce window, capped per-job parallelism) but still
-	// admits all work.
+	// (capped per-round parallelism) but still admits all work.
 	Degraded
 	// Shedding: pressure persisted through the brownout; new work is
 	// refused with 429 and a Retry-After computed from the measured

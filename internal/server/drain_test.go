@@ -16,7 +16,7 @@ import (
 // Drain completes and is answered 200; work arriving after Drain begins
 // is refused with 503; Drain returns only once the queue is empty.
 func TestGracefulDrain(t *testing.T) {
-	s := New(Config{Workers: 2, QueueDepth: 64, BatchWindow: time.Millisecond})
+	s := New(Config{Workers: 2, QueueDepth: 64})
 	ts := newRawServer(t, s)
 	release, _ := blockPool(t, s)
 

@@ -101,7 +101,7 @@ func TestPanicIsolation(t *testing.T) {
 // round must be quarantined so only the poisoned pair's job fails and
 // its coalesced round-mates still merge correctly.
 func TestBatchRoundQuarantine(t *testing.T) {
-	s, _ := newTestServer(t, Config{Workers: 2, QueueDepth: 16, BatchWindow: time.Millisecond})
+	s, _ := newTestServer(t, Config{Workers: 2, QueueDepth: 16})
 	release, _ := blockPool(t, s)
 
 	bad := &job{done: make(chan error, 1), pair: &core.Pair[int64]{
@@ -182,11 +182,27 @@ func TestClientCancelDistinctFromTimeout(t *testing.T) {
 	}
 }
 
+// holdParked is a flushPending hook: it signals parked once, then keeps
+// the parked pairs from their round until each one's request context
+// ends, so a deadline or a client cancel lands between dequeue and
+// flush without a sleep. Every request context ends: RequestTimeout
+// bounds it.
+func holdParked(parked chan<- struct{}) func([]*job) {
+	var once sync.Once
+	return func(jobs []*job) {
+		once.Do(func() { close(parked) })
+		for _, j := range jobs {
+			<-j.ctx.Done()
+		}
+	}
+}
+
 // TestPairExpiredAtFlushShed: a coalesced pair whose deadline passes
-// while parked in pending must be dropped at flush time and counted as
+// between dequeue and flush must be dropped at flush time and counted as
 // shed-at-flush, not merged after its client already got 504.
 func TestPairExpiredAtFlushShed(t *testing.T) {
-	s, ts := newTestServer(t, Config{QueueDepth: 8, BatchWindow: 300 * time.Millisecond})
+	s, ts := newTestServer(t, Config{QueueDepth: 8})
+	s.pool.flushPending = holdParked(make(chan struct{}))
 	req, err := http.NewRequest("POST", ts.URL+"/v1/merge", strings.NewReader(`{"a":[1],"b":[2]}`))
 	if err != nil {
 		t.Fatal(err)
@@ -198,11 +214,126 @@ func TestPairExpiredAtFlushShed(t *testing.T) {
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusGatewayTimeout {
-		t.Fatalf("status %d, want 504 (deadline shorter than batch window)", resp.StatusCode)
+		t.Fatalf("status %d, want 504 (deadline passed before the flush)", resp.StatusCode)
 	}
 	pollUntil(t, "shed-at-flush counter", func() bool { return s.Snapshot().Queue.ShedAtFlush == 1 })
 	if n := s.Snapshot().Pool.BatchRounds; n != 0 {
 		t.Errorf("batch_rounds = %d, want 0: the expired pair must not be merged", n)
+	}
+}
+
+// TestPairCanceledAtFlushShed: the same drop for a client that goes
+// away between dequeue and flush — counted as shed-at-flush and as a
+// cancel, never as a timeout, and never merged.
+func TestPairCanceledAtFlushShed(t *testing.T) {
+	s, ts := newTestServer(t, Config{QueueDepth: 8})
+	parked := make(chan struct{})
+	s.pool.flushPending = holdParked(parked)
+	ctx, cancel := context.WithCancel(context.Background())
+	req, err := http.NewRequestWithContext(ctx, "POST", ts.URL+"/v1/merge", strings.NewReader(`{"a":[1],"b":[2]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	errc := make(chan error, 1)
+	go func() {
+		resp, err := ts.Client().Do(req)
+		if err == nil {
+			resp.Body.Close()
+		}
+		errc <- err
+	}()
+	<-parked
+	cancel()
+	if err := <-errc; err == nil {
+		t.Fatal("canceled request returned a response, want client-side error")
+	}
+	// The dispatcher and the abandoned handler count independently.
+	pollUntil(t, "shed-at-flush and canceled counters", func() bool {
+		q := s.Snapshot().Queue
+		return q.ShedAtFlush == 1 && q.Canceled == 1
+	})
+	snap := s.Snapshot()
+	if n := snap.Queue.Timeouts; n != 0 {
+		t.Errorf("timeouts = %d after a client cancel, want 0", n)
+	}
+	if n := snap.Pool.BatchRounds; n != 0 {
+		t.Errorf("batch_rounds = %d, want 0: the canceled pair must not be merged", n)
+	}
+}
+
+// smallPair is a parked-pair job merging [1 3] with [2].
+func smallPair() *job {
+	return &job{done: make(chan error, 1), pair: &core.Pair[int64]{
+		A: []int64{1, 3}, B: []int64{2}, Out: make([]int64, 3)}}
+}
+
+// TestParkedPairRunsWhenQueueEmpties: no pair waits for a future
+// arrival. Behind a blocked pool, a pair is queued ahead of a job that
+// is dropped at dequeue; nothing arrives after it, so the drop is what
+// empties the queue, and the pair must still run.
+func TestParkedPairRunsWhenQueueEmpties(t *testing.T) {
+	canceledCtx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, tc := range []struct {
+		name string
+		drop *job
+		want error
+	}{
+		{"expired", &job{deadline: time.Now().Add(-time.Second)}, ErrDeadline},
+		{"canceled", &job{ctx: canceledCtx}, ErrCanceled},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, _ := newTestServer(t, Config{Workers: 2, QueueDepth: 8})
+			release, _ := blockPool(t, s)
+			pair := smallPair()
+			tc.drop.done = make(chan error, 1)
+			tc.drop.run = func(context.Context, int) error { return nil }
+			for _, j := range []*job{pair, tc.drop} {
+				if err := s.pool.submit(j); err != nil {
+					t.Fatal(err)
+				}
+			}
+			close(release)
+			select {
+			case err := <-pair.done:
+				if err != nil || !verify.Equal(pair.pair.Out, []int64{1, 2, 3}) {
+					t.Fatalf("pair: err %v, out %v", err, pair.pair.Out)
+				}
+			case <-time.After(2 * time.Second):
+				t.Fatal("parked pair did not run within 2s after the job behind it was dropped")
+			}
+			if err := <-tc.drop.done; !errors.Is(err, tc.want) {
+				t.Errorf("dropped job: err %v, want %v", err, tc.want)
+			}
+		})
+	}
+}
+
+// TestParkedPairRunsBeforeRunJob: a pair queued ahead of a run job is
+// merged before the run job's round starts.
+func TestParkedPairRunsBeforeRunJob(t *testing.T) {
+	s, _ := newTestServer(t, Config{Workers: 2, QueueDepth: 8})
+	release, _ := blockPool(t, s)
+	pair := smallPair()
+	var pairFirst bool
+	run := &job{done: make(chan error, 1), run: func(context.Context, int) error {
+		pairFirst = len(pair.done) == 1
+		return nil
+	}}
+	for _, j := range []*job{pair, run} {
+		if err := s.pool.submit(j); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(release)
+	if err := <-run.done; err != nil {
+		t.Fatal(err)
+	}
+	if !pairFirst {
+		t.Error("run job's round started before the pair queued ahead of it was merged")
+	}
+	if err := <-pair.done; err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -284,8 +284,8 @@ type QueueSnapshot struct {
 	// the client's choice, not a server SLO violation.
 	Canceled uint64 `json:"canceled_total"`
 	// ShedAtFlush counts coalesced pairs dropped at batch-flush time
-	// because their deadline passed (or client vanished) while parked in
-	// the pending buffer.
+	// because their deadline passed (or client vanished) between dequeue
+	// and flush.
 	ShedAtFlush uint64 `json:"shed_at_flush_total"`
 }
 

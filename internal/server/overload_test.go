@@ -32,9 +32,9 @@ func pressCtrl(t *testing.T, c *overload.Controller, want overload.State) {
 	}
 }
 
-func TestBrownoutShrinksWindowAndWorkers(t *testing.T) {
+func TestBrownoutHalvesWorkers(t *testing.T) {
 	ctrl := overload.New(overload.Config{Target: time.Millisecond, Interval: 5 * time.Millisecond})
-	p := newPool(8, 16, 800*time.Microsecond, 1<<20, NewMetrics(), ctrl)
+	p := newPool(8, 16, NewMetrics(), ctrl)
 	defer func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
@@ -44,15 +44,9 @@ func TestBrownoutShrinksWindowAndWorkers(t *testing.T) {
 	if w := p.effectiveWorkers(); w != 8 {
 		t.Fatalf("healthy workers = %d, want 8", w)
 	}
-	if w := p.effectiveWindow(); w != 800*time.Microsecond {
-		t.Fatalf("healthy window = %v, want 800µs", w)
-	}
 	pressCtrl(t, ctrl, overload.Degraded)
 	if w := p.effectiveWorkers(); w != 4 {
 		t.Errorf("degraded workers = %d, want 4", w)
-	}
-	if w := p.effectiveWindow(); w != 200*time.Microsecond {
-		t.Errorf("degraded window = %v, want 200µs", w)
 	}
 }
 

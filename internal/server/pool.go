@@ -80,15 +80,19 @@ func (j *job) canceled() bool {
 // pool multiplexes all in-flight requests onto one fixed set of workers.
 //
 // Architecture: a bounded queue (admission control) feeds a single
-// dispatcher goroutine that executes *rounds*. Small merges accumulate
-// for up to cfg.BatchWindow (or cfg.BatchElements output elements) and
-// then run as ONE core.MergeRound — p workers split the
-// combined output of every coalesced request evenly, so a burst of skewed
-// little requests cannot starve any worker (the paper's load-balance
-// argument applied across requests instead of within one). Everything
-// else runs as its own round via the job's run closure with all workers.
-// One round executes at a time; each round engages every worker; the
-// goroutine count is bounded by workers+1 regardless of offered load.
+// dispatcher goroutine that executes *rounds*. Small merges that are
+// already queued together run as ONE core.MergeRound — p workers split
+// the combined output of every coalesced request evenly, so a burst of
+// skewed little requests cannot starve any worker (the paper's
+// load-balance argument applied across requests instead of within one).
+// No pair waits for a future arrival: the partition balances a round of
+// one pair as well as a round of many, so the dispatcher flushes as
+// soon as the queue is empty (or the round reaches batchElements).
+// Requests arriving while a round runs queue behind the dispatcher and
+// join the next one. Everything else runs as its own round via the
+// job's run closure with all workers. One round executes at a time;
+// each round engages every worker; the goroutine count is bounded by
+// workers+1 regardless of offered load.
 //
 // Lifecycle hardening: every round executes behind panic recovery (a
 // request-induced panic becomes that job's error, the dispatcher and all
@@ -107,8 +111,6 @@ type pool struct {
 	draining bool
 	stopped  chan struct{} // closed when the dispatcher exits
 
-	window       time.Duration
-	batchElems   int
 	m            *Metrics
 	ctrl         *overload.Controller // adaptive admission + brownout; never nil
 	busyNanos    atomic.Int64         // time spent executing rounds
@@ -117,35 +119,23 @@ type pool struct {
 	flushPending func([]*job)  // test hook; nil in production
 }
 
-func newPool(workers, queueDepth int, window time.Duration, batchElems int, m *Metrics, ctrl *overload.Controller) *pool {
+// batchElements caps one coalesced round: the dispatcher flushes early
+// once the parked pairs' combined output reaches it.
+const batchElements = 1 << 20
+
+func newPool(workers, queueDepth int, m *Metrics, ctrl *overload.Controller) *pool {
 	if ctrl == nil {
 		ctrl = overload.New(overload.Config{})
 	}
 	p := &pool{
-		workers:    workers,
-		queue:      make(chan *job, queueDepth),
-		stopped:    make(chan struct{}),
-		window:     window,
-		batchElems: batchElems,
-		m:          m,
-		ctrl:       ctrl,
+		workers: workers,
+		queue:   make(chan *job, queueDepth),
+		stopped: make(chan struct{}),
+		m:       m,
+		ctrl:    ctrl,
 	}
 	go p.dispatch()
 	return p
-}
-
-// effectiveWindow is the coalesce window under brownout: when the
-// overload controller has left Healthy, shrink the window to a quarter
-// so parked pairs spend less time accumulating sojourn before their
-// round runs. Trades batching efficiency for latency exactly when
-// latency is the scarce resource.
-func (p *pool) effectiveWindow() time.Duration {
-	if p.ctrl.State() != overload.Healthy {
-		if w := p.window / 4; w > 0 {
-			return w
-		}
-	}
-	return p.window
 }
 
 // effectiveWorkers is the per-round parallelism under brownout: when
@@ -239,23 +229,18 @@ func normalizeCtxErr(err error) error {
 // dispatch is the round loop. It owns `pending` (coalesced small merges)
 // entirely — no other goroutine touches it — so the only synchronization
 // in the whole engine is the queue channel and the per-job done channels.
+//
+// While pairs are parked it only takes what is already queued: once a
+// non-blocking receive finds the queue empty, the parked pairs run. That
+// one check covers every way the queue empties, including a job dropped
+// at dequeue as expired or canceled behind a parked pair.
 func (p *pool) dispatch() {
 	defer close(p.stopped)
 	var (
 		pending      []*job
 		pendingElems int
-		timer        *time.Timer
-		timerC       <-chan time.Time
 	)
-	stopTimer := func() {
-		if timer != nil {
-			timer.Stop()
-			timer = nil
-			timerC = nil
-		}
-	}
 	flush := func() {
-		stopTimer()
 		if len(pending) == 0 {
 			return
 		}
@@ -283,11 +268,8 @@ func (p *pool) dispatch() {
 			j.parked = time.Now()
 			pending = append(pending, j)
 			pendingElems += len(j.pair.Out)
-			if pendingElems >= p.batchElems {
+			if pendingElems >= batchElements {
 				flush()
-			} else if timer == nil {
-				timer = time.NewTimer(p.effectiveWindow())
-				timerC = timer.C
 			}
 			return
 		}
@@ -304,16 +286,25 @@ func (p *pool) dispatch() {
 		p.finish(j, err)
 	}
 	for {
-		select {
-		case j, ok := <-p.queue:
-			if !ok {
-				flush()
-				return
+		var (
+			j  *job
+			ok bool
+		)
+		if len(pending) == 0 {
+			j, ok = <-p.queue
+		} else {
+			select {
+			case j, ok = <-p.queue:
+			default:
+				flush() // nothing more is queued: run what is parked now
+				continue
 			}
-			handle(j)
-		case <-timerC:
-			flush()
 		}
+		if !ok {
+			flush()
+			return
+		}
+		handle(j)
 	}
 }
 
@@ -368,9 +359,9 @@ func (p *pool) recovered(v any, reqID string) error {
 // combined output evenly.
 //
 // Lifecycle at flush time:
-//   - pairs whose deadline passed while parked in pending are dropped and
-//     counted as shed-at-flush — the client already got its 504, merging
-//     anyway would be silent wasted work;
+//   - pairs whose deadline passed between dequeue and flush are dropped
+//     and counted as shed-at-flush — the client already got its 504,
+//     merging anyway would be silent wasted work;
 //   - pairs whose client canceled are dropped the same way;
 //   - per-pair fault hooks run under per-job recovery, so an injected
 //     panic or error fails only its own job;

@@ -55,12 +55,6 @@ type Config struct {
 	// QueueDepth bounds the admission queue; a full queue sheds with
 	// 503. Default 256.
 	QueueDepth int
-	// BatchWindow is how long a small merge may wait for company before
-	// its coalesced round is flushed. Default 500µs.
-	BatchWindow time.Duration
-	// BatchElements flushes a coalesced round early once its combined
-	// output reaches this many elements. Default 1<<20.
-	BatchElements int
 	// CoalesceLimit is the largest merge output (elements) that takes
 	// the coalescing path; bigger requests are partitioned across the
 	// pool as their own round. Default 1<<16.
@@ -101,12 +95,6 @@ func (c Config) withDefaults() Config {
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 256
 	}
-	if c.BatchWindow <= 0 {
-		c.BatchWindow = 500 * time.Microsecond
-	}
-	if c.BatchElements <= 0 {
-		c.BatchElements = 1 << 20
-	}
 	if c.CoalesceLimit <= 0 {
 		c.CoalesceLimit = 1 << 16
 	}
@@ -138,7 +126,7 @@ func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{cfg: cfg, m: NewMetrics(), mux: http.NewServeMux()}
 	s.ctrl = overload.New(cfg.Overload)
-	s.pool = newPool(cfg.Workers, cfg.QueueDepth, cfg.BatchWindow, cfg.BatchElements, s.m, s.ctrl)
+	s.pool = newPool(cfg.Workers, cfg.QueueDepth, s.m, s.ctrl)
 	jcfg := cfg.Jobs
 	jcfg.Fault = cfg.Fault
 	jcfg.Hooks = s.jobHooks()

@@ -299,10 +299,10 @@ func TestDeadlineWhileQueued504(t *testing.T) {
 }
 
 func TestCoalescingBatchesConcurrentRequests(t *testing.T) {
-	// A long batch window plus a paused dispatcher lets several small
-	// merges pile up; on release they must execute as coalesced rounds,
+	// A paused dispatcher lets several small merges pile up in the
+	// queue; on release they must execute as coalesced rounds,
 	// observable via batch_rounds/batch_pairs metrics.
-	s, ts := newTestServer(t, Config{BatchWindow: 2 * time.Millisecond, Workers: 4, QueueDepth: 64})
+	s, ts := newTestServer(t, Config{Workers: 4, QueueDepth: 64})
 	release, _ := blockPool(t, s)
 	rng := rand.New(rand.NewSource(6))
 	const n = 16

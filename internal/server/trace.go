@@ -35,7 +35,8 @@ const (
 	// dispatcher dequeues the job.
 	StageQueueWait = "queue_wait"
 	// StageCoalesceWait is the time a small merge sat in the pending
-	// buffer waiting for round-mates (coalesced pair jobs only).
+	// buffer while the dispatcher drained what was already queued behind
+	// it into the same round (coalesced pair jobs only).
 	StageCoalesceWait = "coalesce_wait"
 	// StagePartition is cumulative worker time in diagonal/offset binary
 	// searches (the co-rank step) for this request's round.

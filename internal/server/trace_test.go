@@ -89,8 +89,7 @@ func joinInt64(s []int64) string {
 // concurrent stage-histogram observation. It also asserts minted
 // request IDs never collide.
 func TestTraceSpansConcurrent(t *testing.T) {
-	s, ts := newTestServer(t, Config{CoalesceLimit: 512, Workers: 4, QueueDepth: 256,
-		BatchWindow: 200 * time.Microsecond})
+	s, ts := newTestServer(t, Config{CoalesceLimit: 512, Workers: 4, QueueDepth: 256})
 	const goroutines, perG = 8, 24
 
 	var (
